@@ -151,12 +151,17 @@ def train_baseline(config: RunConfig, split: NonParallelSplit, out_dir) -> None:
         )
 
 
-def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats]:
+def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats, str]:
+    """Source stats, target stats and target emotion of a baseline checkpoint."""
     path = Path(ckpt_dir) / LG_STATS_FILE
     if not path.exists():
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    return LgStats.from_dict(payload["source"]), LgStats.from_dict(payload["target"])
+    return (
+        LgStats.from_dict(payload["source"]),
+        LgStats.from_dict(payload["target"]),
+        payload["target_emotion"],
+    )
 
 
 def convert_with_models(
@@ -171,7 +176,7 @@ def convert_with_models(
 ) -> UtteranceFeatures:
     """Convert one utterance according to the requested system."""
     if mode == MODE_BASELINE:
-        src_stats, tgt_stats = load_lg_stats(baseline_ckpt)
+        src_stats, tgt_stats, emotion = load_lg_stats(baseline_ckpt)
         f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), src_stats, tgt_stats)
         if spectrum_ckpt is not None:
             loaded = load_model_checkpoint(spectrum_ckpt)
@@ -180,10 +185,6 @@ def convert_with_models(
             emotion = loaded.stats.target_emotion
         else:
             mceps = utt.mceps
-            payload = json.loads(
-                (Path(baseline_ckpt) / LG_STATS_FILE).read_text(encoding="utf-8")
-            )
-            emotion = payload["target_emotion"]
         return UtteranceFeatures(
             utterance_id=utt.utterance_id,
             emotion_label=emotion,
@@ -255,9 +256,13 @@ def read_cwt_cache(path):
     if data[:4] != CWT_CACHE_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {CWT_CACHE_MAGIC!r}")
     header = struct.Struct("<IIIddddB")
+    if len(data) < 4 + header.size + 16:
+        raise FormatError(f"{path}: truncated header, {len(data)} bytes")
     version, n_scales, n_frames, tau0, dj, s0, support_t, ladder = header.unpack_from(data, 4)
     if version != 1:
         raise FormatError(f"{path}: unsupported cache version {version}")
+    if ladder not in _LADDER_NAMES:
+        raise FormatError(f"{path}: unknown ladder code {ladder}")
     off = 4 + header.size
     mean, std = struct.unpack_from("<dd", data, off)
     off += 16

@@ -112,17 +112,36 @@ def scale_weights(n_scales: int) -> np.ndarray:
     return (i + 2.5) ** -2.5
 
 
-def _kernel(scale_s: float, params: WaveletParams) -> tuple[np.ndarray, int]:
+def _kernel(
+    scale_s: float, params: WaveletParams, reach: int | None = None
+) -> tuple[np.ndarray, int]:
     """Sampled analysis kernel for one scale and its half-length in samples.
 
     The kernel is the mirrored wavelet (1/a) * psi((a*T - m*tau0)/a) sampled
     at m = 0..2*half; the half-length is rounded so the kernel stays
-    symmetric, which makes the extraction offset exact.
+    symmetric, which makes the extraction offset exact. With ``reach`` set,
+    only the taps within ``min(reach, half)`` of the centre are sampled, so
+    the centre stays at index ``size // 2``.
     """
     s = scale_s / params.tau0
     half = int(round(s * params.support_T))
-    m = np.arange(2 * half + 1, dtype=np.float64)
+    reach = half if reach is None else min(reach, half)
+    m = np.arange(half - reach, half + reach + 1, dtype=np.float64)
     return mexican_hat((half - m) / s) / scale_s, half
+
+
+def smooth_length(m: int) -> int:
+    """Smallest 2**a * 3**b * 5**c that is >= m, a length pocketfft does fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest power-of-two multiple of p35 that reaches m.
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _validate_signal(signal) -> np.ndarray:
@@ -137,23 +156,32 @@ def _validate_signal(signal) -> np.ndarray:
 def cwt_decompose(signal, params: WaveletParams = WaveletParams()) -> CwtMatrix:
     """Decompose a signal onto the scale ladder via FFT convolution.
 
-    Per scale: zero-pad the signal by the kernel length minus one, convolve
-    circularly on that common length (equal to full linear convolution),
-    take the N samples at the kernel-center offset, then weight the row by
-    (i+2.5)**-2.5 and by tau0/sqrt(scale) so the sum discretizes the
-    scale-normalized convolution integral.
+    Output j of a row is sum_i signal[i] * kernel[half + j - i] over the N
+    samples i, so it only reads taps within N - 1 of the kernel centre. Each
+    kernel is therefore cut to its ``2*reach + 1`` central taps, with
+    ``reach = min(half, N - 1)``; this is exact, not an approximation, and
+    bounds the top scale's 20,481 taps by the signal length. All rows share
+    one zero-padded FFT length L, the smallest 2**a * 3**b * 5**c of at
+    least ``N + max(reach)``: the full linear convolution of row r spans
+    ``N + 2*reach_r`` samples, and with that L its circular wrap-around
+    lands only outside the N kept samples at offset ``reach_r``. So there is
+    one transform of the signal, one batched transform of the kernel stack
+    and one batched inverse. Each kept row is weighted by (i+2.5)**-2.5 and
+    by tau0/sqrt(scale) so the sum discretizes the scale-normalized
+    convolution integral.
     """
     sig = _validate_signal(signal)
     n = sig.size
-    weights = scale_weights(params.n_scales)
-    coeffs = np.empty((params.n_scales, n))
-    for row, scale in enumerate(params.scales()):
-        kernel, half = _kernel(scale, params)
-        m = n + 2 * half
-        spec = np.fft.rfft(sig, m) * np.fft.rfft(kernel, m)
-        full = np.fft.irfft(spec, m)
-        coeffs[row] = full[half : half + n]
-        coeffs[row] *= weights[row] * params.tau0 / np.sqrt(scale)
+    scales = params.scales()
+    kernels = [_kernel(scale, params, reach=n - 1)[0] for scale in scales]
+    reaches = [kernel.size // 2 for kernel in kernels]
+    m = smooth_length(n + max(reaches))
+    stack = np.zeros((params.n_scales, m))
+    for row, kernel in enumerate(kernels):
+        stack[row, : kernel.size] = kernel
+    full = np.fft.irfft(np.fft.rfft(sig, m) * np.fft.rfft(stack, axis=1), m, axis=1)
+    coeffs = np.stack([full[row, r : r + n] for row, r in enumerate(reaches)])
+    coeffs *= (scale_weights(params.n_scales) * params.tau0 / np.sqrt(scales))[:, None]
     return CwtMatrix(coeffs=coeffs, params=params)
 
 

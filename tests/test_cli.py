@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +144,71 @@ class TestDecomposeReconstruct:
         assert "voiced" in capsys.readouterr().err
 
 
+class TestCwtCache:
+    @pytest.fixture
+    def cache_bytes(self, tmp_path):
+        from prosodia.cli import pipeline
+        from prosodia.prosody import CwtMatrix, NormStats, WaveletParams
+
+        matrix = CwtMatrix(
+            coeffs=np.random.default_rng(0).normal(size=(10, 3)), params=WaveletParams()
+        )
+        path = tmp_path / "valid.cwt"
+        pipeline.write_cwt_cache(
+            path, matrix, NormStats(mean=5.0, std=0.2), np.array([True, False, True])
+        )
+        pipeline.read_cwt_cache(path)
+        return path.read_bytes()
+
+    def test_every_proper_prefix_is_format_error(self, cache_bytes, tmp_path):
+        from prosodia.cli.pipeline import read_cwt_cache
+        from prosodia.errors import FormatError
+
+        path = tmp_path / "cut.cwt"
+        for size in range(len(cache_bytes)):
+            path.write_bytes(cache_bytes[:size])
+            with pytest.raises(FormatError):
+                read_cwt_cache(path)
+
+    def test_unknown_ladder_code_is_format_error(self, cache_bytes, tmp_path):
+        from prosodia.cli.pipeline import read_cwt_cache
+        from prosodia.errors import FormatError
+
+        path = tmp_path / "ladder.cwt"
+        path.write_bytes(_with_ladder_code(cache_bytes, 7))
+        with pytest.raises(FormatError, match="ladder"):
+            read_cwt_cache(path)
+
+    def test_cli_exits_2_on_malformed_cache(self, cache_bytes, tmp_path):
+        from prosodia.features import UtteranceFeatures, write_feature_file
+
+        reference = tmp_path / "ref.uff"
+        write_feature_file(
+            UtteranceFeatures(
+                utterance_id="ref",
+                emotion_label="A",
+                frame_period_ms=5.0,
+                mceps=np.zeros((24, 3), dtype=np.float32),
+                f0_hz=np.full(3, 120.0, dtype=np.float32),
+            ),
+            reference,
+        )
+        for name, blob in (
+            ("short.cwt", cache_bytes[:40]),
+            ("ladder.cwt", _with_ladder_code(cache_bytes, 7)),
+        ):
+            cache = tmp_path / name
+            cache.write_bytes(blob)
+            rc = main(["reconstruct", "--cache", str(cache), "--reference", str(reference),
+                       "--out", str(tmp_path / "rec.uff")])
+            assert rc == 2, name
+
+
+def _with_ladder_code(blob: bytes, code: int) -> bytes:
+    offset = 4 + struct.calcsize("<IIIdddd")
+    return blob[:offset] + bytes([code]) + blob[offset + 1 :]
+
+
 class TestTrainCommand:
     def test_checkpoint_artifacts(self, tiny_config, tmp_path):
         out = tmp_path / "ckpt"
@@ -237,6 +303,27 @@ class TestConvertCommand:
         pooled = np.concatenate(logs)
         assert abs(pooled.mean() - tgt_mean) / tgt_mean < 0.02
         assert abs(pooled.std() - tgt_std) / tgt_std < 0.10
+
+    def test_baseline_conversion_reads_lg_stats_once(self, tiny_corpus, trained, monkeypatch):
+        from pathlib import Path
+
+        from prosodia.cli import pipeline
+
+        _, _, base_dir = trained
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self.name)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        utt = read_feature_file(sorted(tiny_corpus.parent.glob("*_A.uff"))[0])
+        out = pipeline.convert_with_models(
+            utt, mode="baseline", stats_policy="target", baseline_ckpt=base_dir
+        )
+        assert reads.count(pipeline.LG_STATS_FILE) == 1
+        assert out.emotion_label == "B"
 
     def test_mode_mismatch_rejected(self, tiny_config, trained, tmp_path, capsys):
         spec_dir, pros_dir, _ = trained

@@ -15,6 +15,7 @@ from prosodia.prosody import (
     read_scalogram_csv,
     scale_weights,
 )
+from prosodia.prosody.cwt import smooth_length
 
 
 class TestMexicanHat:
@@ -67,7 +68,9 @@ class TestDecompose:
 
 
 class TestDirectOracleAgreement:
-    @pytest.mark.parametrize("n", [8, 64, 257])
+    # n = 1 and 2 cut every kernel to at most 3 taps; at n = 1056 and 1072
+    # the uncut top row used to need FFT lengths 2**5 * 673 and 2**4 * 3 * 449.
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 257, 1056, 1072])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fft_matches_direct_summation(self, n, seed):
         sig = np.random.default_rng(seed).normal(size=n)
@@ -75,7 +78,19 @@ class TestDirectOracleAgreement:
         direct = cwt_decompose_direct(sig).coeffs
         np.testing.assert_allclose(fft_path, direct, atol=1e-9)
 
-    @pytest.mark.parametrize("n", [16, 100])
+    def test_fft_matches_direct_when_no_kernel_is_cut(self):
+        n = 700
+        params = WaveletParams(n_scales=6)
+        halves = np.round(params.scales() / params.tau0 * params.support_T)
+        assert halves.max() <= n - 1
+        sig = np.random.default_rng(7).normal(size=n)
+        np.testing.assert_allclose(
+            cwt_decompose(sig, params).coeffs,
+            cwt_decompose_direct(sig, params).coeffs,
+            atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("n", [16, 100, 1056])
     def test_fft_matches_direct_on_dj_ladder(self, n):
         sig = np.random.default_rng(5).normal(size=n)
         params = WaveletParams(ladder="dj")
@@ -108,6 +123,18 @@ class TestDirectOracleAgreement:
             )
             expected *= weights[row] * params.tau0 / np.sqrt(scale)
             np.testing.assert_allclose(out[row], expected, atol=1e-12)
+
+
+class TestSmoothLength:
+    def test_matches_brute_force(self):
+        top = 4096
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(14) for b in range(9) for c in range(7)
+            if 2**a * 3**b * 5**c < 2 * top
+        )
+        for m in range(1, top + 1):
+            assert smooth_length(m) == next(x for x in smooth if x >= m), m
 
 
 class TestReconstruct:
