@@ -21,6 +21,7 @@ from prosodia.cyclegan import (
     save_model_checkpoint,
     train,
 )
+from prosodia.cyclegan.checkpoint import SENTINEL
 from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
 from prosodia.features import (
     NonParallelSplit,
@@ -40,7 +41,6 @@ from prosodia.prosody import (
 
 log = logging.getLogger("prosodia")
 
-SENTINEL = ".in-progress"
 LG_STATS_FILE = "lg_stats.json"
 CWT_CACHE_MAGIC = b"CWT1"
 _LADDER_CODES = {"octave": 0, "dj": 1}

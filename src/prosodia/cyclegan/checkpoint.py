@@ -14,6 +14,8 @@ from prosodia.prosody.cwt import WaveletParams
 from prosodia.prosody.f0 import NormStats
 
 METADATA_FILE = "metadata.json"
+# Present while a directory is being written; removed once it is complete.
+SENTINEL = ".in-progress"
 STORE_FILES = {"g_xy": "g_xy.prm1", "g_yx": "g_yx.prm1", "d_x": "d_x.prm1", "d_y": "d_y.prm1"}
 
 
@@ -83,6 +85,8 @@ class LoadedCheckpoint:
 
 def load_model_checkpoint(directory) -> LoadedCheckpoint:
     directory = Path(directory)
+    if (directory / SENTINEL).exists():
+        raise ValidationError(f"{directory}: holds {SENTINEL}; its writer did not finish")
     meta_path = directory / METADATA_FILE
     if not meta_path.exists():
         raise ValidationError(f"{directory}: missing {METADATA_FILE}; not a checkpoint directory")

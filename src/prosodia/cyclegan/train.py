@@ -18,7 +18,7 @@ from prosodia.cyclegan.losses import (
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.nn.adam import AdamState, adam_step
 from prosodia.nn.network import forward_discriminator, forward_generator
-from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, no_grad, scale
+from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, scale
 
 LOSS_COLUMNS = ("iter", "lr", "adv_g", "adv_d", "cyc", "id")
 
@@ -85,12 +85,16 @@ def train(
 ) -> tuple[CycleGanModel, LossLog]:
     """Train in place and return the model with its loss log.
 
-    Each iteration samples one segment per side, updates both discriminators
-    on the least-squares objective, then updates both generators on the
-    adversarial + cycle (+ identity, while active) objective. Fully
-    deterministic given the schedule seed, the data and the BLAS thread
-    count; a different thread count sums matrix products in another order,
-    and the trajectories drift apart from those last-bit differences.
+    Each iteration samples one segment per side and runs both generators on
+    them once, keeping their graphs. The discriminators are then updated on
+    the least-squares objective, scoring those outputs' values as frozen
+    fakes. Last, with the discriminators' parameters frozen, both generators
+    are updated on the adversarial + cycle (+ identity, while active)
+    objective, which differentiates through the same two forwards: the
+    generators have not changed since they ran. Fully deterministic given
+    the schedule seed, the data and the BLAS thread count; a different
+    thread count sums matrix products in another order, and the
+    trajectories drift apart from those last-bit differences.
     Features are standardized per dimension over each side's training set;
     the constants stay on the model for conversion.
     """
@@ -114,6 +118,7 @@ def train(
         t = feature_map if isinstance(feature_map, Tensor) else Tensor(feature_map[None, :, :])
         return forward_discriminator(store, disc_cfg, t)
 
+    d_params = [p for store in (model.d_x, model.d_y) for _, p in store]
     rows = []
     for t in range(1, schedule.total_iters + 1):
         try:
@@ -121,20 +126,20 @@ def train(
             y_seg = _sample_segment(ys, rng, seg)
             lr_g = schedule.learning_rate(schedule.lr_g, t)
             lr_d = schedule.learning_rate(schedule.lr_d, t)
+            x_t, y_t = Tensor(x_seg), Tensor(y_seg)
+            fake_y = forward_generator(model.g_xy, gen_cfg, x_t)
+            fake_x = forward_generator(model.g_yx, gen_cfg, y_t)
 
-            # Discriminator update: fakes are frozen generator outputs.
-            with no_grad():
-                fake_y_frozen = forward_generator(model.g_xy, gen_cfg, Tensor(x_seg)).values
-                fake_x_frozen = forward_generator(model.g_yx, gen_cfg, Tensor(y_seg)).values
+            # Discriminator update: the fakes enter as values, cut from their graphs.
             d_loss = add(
                 adversarial_loss(
                     d_scores(model.d_y, y_seg),
-                    d_scores(model.d_y, fake_y_frozen),
+                    d_scores(model.d_y, fake_y.values),
                     DISCRIMINATOR_SIDE,
                 ),
                 adversarial_loss(
                     d_scores(model.d_x, x_seg),
-                    d_scores(model.d_x, fake_x_frozen),
+                    d_scores(model.d_x, fake_x.values),
                     DISCRIMINATOR_SIDE,
                 ),
             )
@@ -143,9 +148,10 @@ def train(
             adam_step(model.d_y, opt["d_y"], lr_d)
 
             # Generator update: adversarial + cycle (+ identity while active).
-            x_t, y_t = Tensor(x_seg), Tensor(y_seg)
-            fake_y = forward_generator(model.g_xy, gen_cfg, x_t)
-            fake_x = forward_generator(model.g_yx, gen_cfg, y_t)
+            # The discriminators stay frozen through it, until the finally
+            # below: gradients for them would belong to no update.
+            for p in d_params:
+                p.requires_grad = False
             cycled_x = forward_generator(model.g_yx, gen_cfg, fake_y)
             cycled_y = forward_generator(model.g_xy, gen_cfg, fake_x)
             adv_g = add(
@@ -172,11 +178,11 @@ def train(
             backward(g_loss)
             adam_step(model.g_xy, opt["g_xy"], lr_g)
             adam_step(model.g_yx, opt["g_yx"], lr_g)
-            # Gradients that flowed through the discriminators belong to no update.
-            model.d_x.clear_grads()
-            model.d_y.clear_grads()
         except NumericError as err:
             raise NumericError(f"training aborted at iteration {t}: {err}") from err
+        finally:
+            for p in d_params:
+                p.requires_grad = True
 
         rows.append((t, lr_g, adv_g.item(), d_loss.item(), cyc.item(), id_value))
     return model, LossLog(rows=rows)

@@ -6,6 +6,7 @@ u16 name length + UTF-8 name | u32 rank | rank x u32 dims | f64 payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -46,13 +47,20 @@ def load_params(path) -> ParamStore:
             raise FormatError(f"{path}: truncated parameter record")
         (name_len,) = struct.unpack_from("<H", data, off)
         off += 2
-        name = data[off : off + name_len].decode("utf-8")
+        if off + name_len + 4 > len(data):
+            raise FormatError(f"{path}: truncated parameter record")
+        try:
+            name = data[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: parameter name is not UTF-8 ({err})") from err
         off += name_len
         (rank,) = struct.unpack_from("<I", data, off)
         off += 4
-        shape = struct.unpack_from(f"<{rank}I", data, off) if rank else ()
+        if off + 4 * rank > len(data):
+            raise FormatError(f"{path}: truncated shape for {name!r} of rank {rank}")
+        shape = struct.unpack_from(f"<{rank}I", data, off)
         off += 4 * rank
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # a Python int: no overflow on hostile dims
         end = off + 8 * n
         if end > len(data):
             raise FormatError(

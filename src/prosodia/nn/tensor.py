@@ -2,8 +2,13 @@
 
 Every operation returns a new :class:`Tensor` and records a closure that
 propagates the output gradient into its parents. ``backward`` walks the
-graph once in reverse topological order; re-running it on the same loss is
-rejected. All results are checked for NaN/Inf at construction.
+graph once in reverse topological order and frees it as it goes: once an
+interior node's closure has run, the node drops its gradient, closure and
+parents, so activations and im2col buffers die with the last outside
+reference instead of outliving the step. Leaves keep their gradients. A
+consumed graph cannot carry gradients again, so a later ``backward`` that
+reaches it (including a rerun on the same loss) is rejected. All results
+are checked for NaN/Inf at construction.
 """
 
 from __future__ import annotations
@@ -78,12 +83,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss."""
+    """Populate ``grad`` on every leaf reachable from a scalar loss.
+
+    Interior nodes are consumed: each releases its graph right after its
+    closure has run.
+    """
     if loss.values.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._done:
         raise AutodiffError("backward already ran on this loss; rebuild the graph")
-    loss._done = True
 
     order = []
     visited = set()
@@ -95,6 +103,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._done:
+            # Checked before any closure runs, so a rejected call changes nothing.
+            raise AutodiffError("backward reached a tensor whose graph an earlier backward freed")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -102,10 +113,16 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()  # dropping the list's reference lets freed nodes die now
+        if node._backward_fn is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward_fn(node.grad)
-            node.grad = None  # free intermediate gradients; leaves keep theirs
+        node.grad = None
+        node._backward_fn = None
+        node._parents = ()
+        node._done = True
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -298,8 +315,10 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
         y += b.values[:, None]
 
     def grad_fn(g):
-        _accumulate(w, (g @ cols2.T).reshape(w.shape))
-        if b is not None:
+        # Frozen weights (requires_grad off) cost no gradient matmul.
+        if w.requires_grad:
+            _accumulate(w, (g @ cols2.T).reshape(w.shape))
+        if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=1))
         if x.requires_grad:
             gcols = (w2.T @ g).reshape(c_in, k, f_out)
@@ -343,8 +362,9 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
 
     def grad_fn(g):
         g2 = g.reshape(c_out, h_out * w_out)
-        _accumulate(w, (g2 @ cols2.T).reshape(w.shape))
-        if b is not None:
+        if w.requires_grad:
+            _accumulate(w, (g2 @ cols2.T).reshape(w.shape))
+        if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=1))
         if x.requires_grad:
             gcols = (w2.T @ g2).reshape(c_in, kh, kw, h_out, w_out)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from prosodia.cli.main import main
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
+from prosodia.cyclegan.checkpoint import SENTINEL
 from prosodia.features import load_corpus, make_nonparallel_split, read_feature_file
 from prosodia.prosody import preprocess_f0, read_scalogram_csv
 
@@ -324,6 +326,19 @@ class TestConvertCommand:
         )
         assert reads.count(pipeline.LG_STATS_FILE) == 1
         assert out.emotion_label == "B"
+
+    def test_half_written_checkpoint_rejected(self, tiny_config, trained, tmp_path, capsys):
+        spec_dir, pros_dir, _ = trained
+        half = tmp_path / "half"
+        shutil.copytree(pros_dir, half)
+        (half / SENTINEL).write_text("", encoding="utf-8")
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(half),
+            "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 1
+        assert SENTINEL in capsys.readouterr().err
 
     def test_mode_mismatch_rejected(self, tiny_config, trained, tmp_path, capsys):
         spec_dir, pros_dir, _ = trained

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from prosodia.cyclegan import (
     save_model_checkpoint,
     train,
 )
+from prosodia.cyclegan.losses import GENERATOR_SIDE
 from prosodia.cyclegan.train import LossLog
 from prosodia.features import UtteranceFeatures
-from prosodia.nn import Tensor
+from prosodia.nn import Tensor, backward, forward_discriminator, forward_generator
+from prosodia.nn.tensor import add, add_leading_axis
 from prosodia.prosody import NormStats, WaveletParams
 
 rng = np.random.default_rng(7)
@@ -142,6 +146,58 @@ class TestTraining:
         log2, w2 = run()
         assert log1.rows == log2.rows
         assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("id_cutoff, forwards", [(100, 6), (0, 4)])
+    def test_generator_forwards_per_iteration(self, monkeypatch, id_cutoff, forwards):
+        module = importlib.import_module("prosodia.cyclegan.train")
+        real = module.forward_generator
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "forward_generator", counting)
+        xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+        weights = LossWeights(id_cutoff_iters=id_cutoff)
+        train(tiny_model(seed=12), xs, ys, weights, tiny_schedule(total=3))
+        assert len(calls) == 3 * forwards
+
+    def test_frozen_discriminators_leave_generator_gradients_unchanged(self):
+        def g_step_gradients(freeze):
+            model = tiny_model(seed=10)
+            r = np.random.default_rng(11)
+            x, y = Tensor(r.normal(0, 1, (10, 16))), Tensor(r.normal(0, 1, (10, 16)))
+            for store in (model.d_x, model.d_y):
+                for _, p in store:
+                    p.requires_grad = not freeze
+            gen, disc = model.gen_config, model.disc_config
+            fake_y = forward_generator(model.g_xy, gen, x)
+            fake_x = forward_generator(model.g_yx, gen, y)
+            adv = add(
+                adversarial_loss(
+                    None, forward_discriminator(model.d_y, disc, add_leading_axis(fake_y)),
+                    GENERATOR_SIDE,
+                ),
+                adversarial_loss(
+                    None, forward_discriminator(model.d_x, disc, add_leading_axis(fake_x)),
+                    GENERATOR_SIDE,
+                ),
+            )
+            cyc = cycle_loss(
+                x, forward_generator(model.g_yx, gen, fake_y),
+                y, forward_generator(model.g_xy, gen, fake_x),
+            )
+            backward(add(adv, cyc))
+            return model
+
+        frozen, trainable = g_step_gradients(True), g_step_gradients(False)
+        for key in ("g_xy", "g_yx"):
+            for name, p in frozen.stores()[key]:
+                assert np.array_equal(p.grad, trainable.stores()[key][name].grad), name
+        for key in ("d_x", "d_y"):
+            assert all(p.grad is None for _, p in frozen.stores()[key])
+            assert all(p.grad is not None for _, p in trainable.stores()[key])
 
     def test_dimension_mismatch_rejected(self):
         model = tiny_model()
@@ -389,3 +445,6 @@ class TestNonFiniteAbort:
         xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="iteration"):
             train(model, xs, ys, LossWeights(), sched)
+        # The abort comes while the discriminators are frozen for the G-step.
+        for store in (model.d_x, model.d_y):
+            assert all(p.requires_grad for _, p in store)
