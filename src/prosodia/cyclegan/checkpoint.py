@@ -9,7 +9,7 @@ from pathlib import Path
 from prosodia.errors import FormatError, ValidationError
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.nn.checkpoint import load_params, save_params
-from prosodia.nn.network import NetworkConfig
+from prosodia.nn.network import NetworkConfig, param_layout
 from prosodia.prosody.cwt import WaveletParams
 from prosodia.prosody.f0 import NormStats
 
@@ -84,6 +84,13 @@ class LoadedCheckpoint:
 
 
 def load_model_checkpoint(directory) -> LoadedCheckpoint:
+    """Load a checkpoint directory written by ``save_model_checkpoint``.
+
+    Generator stores must hold exactly the parameters, with the shapes,
+    that the stored ``gen_config`` builds. Discriminator stores are not
+    checked: stores written before the bias-on-every-layer layout still
+    load (see ``prosodia.nn.network``).
+    """
     directory = Path(directory)
     if (directory / SENTINEL).exists():
         raise ValidationError(f"{directory}: holds {SENTINEL}; its writer did not finish")
@@ -94,28 +101,45 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
         metadata = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise FormatError(f"{meta_path}: invalid JSON ({err})") from err
+    if not isinstance(metadata, dict):
+        raise FormatError(f"{meta_path}: expected a JSON object, got {type(metadata).__name__}")
+    try:
+        gen_config = NetworkConfig.from_dict(metadata["gen_config"])
+        disc_config = NetworkConfig.from_dict(metadata["disc_config"])
+        mode, seed = metadata["mode"], int(metadata["seed"])
+        feature_stats = metadata.get("feature_stats")
+        feature_stats = FeatureStats.from_dict(feature_stats) if feature_stats else None
+        weights = LossWeights.from_dict(metadata["weights"])
+        schedule = TrainSchedule.from_dict(metadata["schedule"])
+        stats = CorpusStats.from_dict(metadata["stats"])
+        wavelet = WaveletParams.from_dict(metadata["wavelet"])
+    except KeyError as err:
+        raise FormatError(f"{meta_path}: missing required key {err.args[0]!r}") from err
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"{meta_path}: malformed metadata ({err})") from err
     stores = {}
     for key, fname in STORE_FILES.items():
         path = directory / fname
         if not path.exists():
             raise ValidationError(f"{directory}: missing parameter file {fname}")
         stores[key] = load_params(path)
-    feature_stats = metadata.get("feature_stats")
+    layout = param_layout(gen_config)
+    for key in ("g_xy", "g_yx"):
+        shapes = {name: p.shape for name, p in stores[key]}
+        wrong = sorted(n for n in layout.keys() | shapes.keys() if shapes.get(n) != layout.get(n))
+        if wrong:
+            name = wrong[0]
+            raise FormatError(
+                f"{directory / STORE_FILES[key]}: parameter {name!r} is "
+                f"{shapes.get(name, 'absent')}, the stored gen_config needs "
+                f"{layout.get(name, 'none')}"
+            )
     model = CycleGanModel(
-        mode=metadata["mode"],
-        gen_config=NetworkConfig.from_dict(metadata["gen_config"]),
-        disc_config=NetworkConfig.from_dict(metadata["disc_config"]),
-        g_xy=stores["g_xy"],
-        g_yx=stores["g_yx"],
-        d_x=stores["d_x"],
-        d_y=stores["d_y"],
-        seed=int(metadata["seed"]),
-        feature_stats=FeatureStats.from_dict(feature_stats) if feature_stats else None,
+        mode=mode,
+        gen_config=gen_config,
+        disc_config=disc_config,
+        seed=seed,
+        feature_stats=feature_stats,
+        **stores,
     )
-    return LoadedCheckpoint(
-        model=model,
-        weights=LossWeights.from_dict(metadata["weights"]),
-        schedule=TrainSchedule.from_dict(metadata["schedule"]),
-        stats=CorpusStats.from_dict(metadata["stats"]),
-        wavelet=WaveletParams.from_dict(metadata["wavelet"]),
-    )
+    return LoadedCheckpoint(model, weights, schedule, stats, wavelet)

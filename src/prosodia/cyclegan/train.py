@@ -96,13 +96,14 @@ def train(
     thread count sums matrix products in another order, and the
     trajectories drift apart from those last-bit differences.
     Features are standardized per dimension over each side's training set;
-    the constants stay on the model for conversion.
+    the constants stay on the model for conversion. Each segment is
+    standardized as it is sampled, so no standardized copy of the training
+    sets is held: standardizing is elementwise and sampling only copies
+    values, so the segment is bit for bit the one a standardized set gives.
     """
     xs = _validate_sets(model, "source_set", source_set)
     ys = _validate_sets(model, "target_set", target_set)
-    model.feature_stats = FeatureStats.fit(xs, ys)
-    xs = [model.feature_stats.standardize(f, "x") for f in xs]
-    ys = [model.feature_stats.standardize(f, "y") for f in ys]
+    stats = model.feature_stats = FeatureStats.fit(xs, ys)
     rng = np.random.default_rng(schedule.seed)
     seg = schedule.segment_frames
 
@@ -122,8 +123,8 @@ def train(
     rows = []
     for t in range(1, schedule.total_iters + 1):
         try:
-            x_seg = _sample_segment(xs, rng, seg)
-            y_seg = _sample_segment(ys, rng, seg)
+            x_seg = stats.standardize(_sample_segment(xs, rng, seg), "x")
+            y_seg = stats.standardize(_sample_segment(ys, rng, seg), "y")
             lr_g = schedule.learning_rate(schedule.lr_g, t)
             lr_d = schedule.learning_rate(schedule.lr_d, t)
             x_t, y_t = Tensor(x_seg), Tensor(y_seg)

@@ -142,4 +142,8 @@ def _read_str(data: bytes, off: int, path) -> tuple[str, int]:
     off += 2
     if off + length > len(data):
         raise FormatError(f"{path}: truncated string payload")
-    return data[off : off + length].decode("utf-8"), off + length
+    try:
+        text = data[off : off + length].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: string is not UTF-8 ({err})") from err
+    return text, off + length

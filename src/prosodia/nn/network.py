@@ -154,24 +154,23 @@ def _disc_widths(config: NetworkConfig) -> list[int]:
     return [b, 2 * b, 4 * b, 1]
 
 
-def init_params(config: NetworkConfig, seed: int) -> ParamStore:
-    """Fan-in-scaled Gaussian weights, zero biases, unit norm gains."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def param_layout(config: NetworkConfig) -> dict[str, tuple]:
+    """Parameter names and shapes, in the order ``init_params`` draws them.
+
+    Convolutions feeding a norm layer are bias-free: the norm removes
+    per-channel means, so such a bias would have an identically zero
+    gradient. Computing the layout draws no weights.
+    """
+    layout: dict[str, tuple] = {}
 
     def conv_w(name, c_out, c_in, *kernel, bias=True):
-        # Convolutions feeding a norm layer are bias-free: the norm removes
-        # per-channel means, so such a bias would have an identically zero
-        # gradient.
-        fan_in = c_in * int(np.prod(kernel))
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(c_out, c_in, *kernel))
-        params[f"{name}.w"] = Tensor(w, requires_grad=True)
+        layout[f"{name}.w"] = (c_out, c_in, *kernel)
         if bias:
-            params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True)
+            layout[f"{name}.b"] = (c_out,)
 
     def norm(name, channels):
-        params[f"{name}.gain"] = Tensor(np.ones(channels), requires_grad=True)
-        params[f"{name}.bias"] = Tensor(np.zeros(channels), requires_grad=True)
+        layout[f"{name}.gain"] = (channels,)
+        layout[f"{name}.bias"] = (channels,)
 
     if config.kind == GENERATOR_KIND:
         k_in, k_down, k_res, k_up, k_out = config.kernel_sizes
@@ -201,6 +200,22 @@ def init_params(config: NetworkConfig, seed: int) -> ParamStore:
         for j, c_out in enumerate(_disc_widths(config), start=1):
             conv_w(f"layer{j}", c_out, c_prev, *config.kernel_sizes[j - 1])
             c_prev = c_out
+    return layout
+
+
+def init_params(config: NetworkConfig, seed: int) -> ParamStore:
+    """Fan-in-scaled Gaussian weights, zero biases, unit norm gains."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in param_layout(config).items():
+        if name.endswith(".w"):
+            fan_in = int(np.prod(shape[1:]))
+            values = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+        elif name.endswith(".gain"):
+            values = np.ones(shape)
+        else:
+            values = np.zeros(shape)
+        params[name] = Tensor(values, requires_grad=True)
     return ParamStore(params, rng_seed=seed)
 
 

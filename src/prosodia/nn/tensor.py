@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Every operation returns a new :class:`Tensor` and records a closure that
-propagates the output gradient into its parents. ``backward`` walks the
-graph once in reverse topological order and frees it as it goes: once an
-interior node's closure has run, the node drops its gradient, closure and
-parents, so activations and im2col buffers die with the last outside
+propagates the output gradient into its parents. A closure holds only what
+its backward reads: shapes instead of padded inputs, a boolean mask instead
+of a float factor, and im2col columns only where a conv2d weight requires
+grad; other columns are rebuilt from the input in backward. Convolution
+backward therefore reads its input's and weight's ``values`` again, so
+these must not change in place between forward and backward;
+Adam updates parameters only after ``backward`` has returned.
+
+``backward`` walks the graph once in reverse topological order and frees it
+as it goes: once an interior node's closure has run, the node drops its
+gradient, closure and parents, so activations die with the last outside
 reference instead of outliving the step. Leaves keep their gradients. A
 consumed graph cannot carry gradients again, so a later ``backward`` that
 reaches it (including a rerun on the same loss) is rejected. All results
@@ -213,13 +220,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    # x * 1.0 == x bit for bit, so the boolean mask stands in for a float
+    # factor of 1.0 or ``slope``.
     positive = a.values > 0
-    factor = np.where(positive, 1.0, slope)
 
     def grad_fn(g):
-        _accumulate(a, g * factor)
+        _accumulate(a, np.where(positive, g, g * slope))
 
-    return _result(a.values * factor, (a,), grad_fn)
+    return _result(np.where(positive, a.values, a.values * slope), (a,), grad_fn)
 
 
 def glu(a: Tensor) -> Tensor:
@@ -232,12 +240,19 @@ def glu(a: Tensor) -> Tensor:
     if c % 2:
         raise ValidationError(f"glu needs an even channel count, got {c}")
     h = a.values[: c // 2]
-    gate = 1.0 / (1.0 + np.exp(-a.values[c // 2 :]))
+    gate = np.negative(a.values[c // 2 :])  # 1 / (1 + exp(-x)), in one buffer
+    np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
 
     def grad_fn(g):
         ga = np.empty_like(a.values)
-        ga[: c // 2] = g * gate
-        ga[c // 2 :] = g * h * gate * (1.0 - gate)
+        top, bottom = ga[: c // 2], ga[c // 2 :]
+        np.multiply(g, h, out=bottom)  # g * h * gate * (1 - gate)
+        bottom *= gate
+        np.subtract(1.0, gate, out=top)
+        bottom *= top
+        np.multiply(g, gate, out=top)
         _accumulate(a, ga)
 
     return _result(h * gate, (a,), grad_fn)
@@ -247,26 +262,42 @@ def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     """Per-channel normalization over all non-channel axes, then affine.
 
     Works for both [C, F] and [C, H, W] inputs; gain/bias have shape [C].
+    Means are ``np.add.reduce(...) / n``, which is what ``ndarray.mean``
+    computes, and each step writes into a buffer this op owns.
     """
     axes = tuple(range(1, a.values.ndim))
     if gain.shape != (a.shape[0],) or bias.shape != (a.shape[0],):
         raise ValidationError("gain/bias must be per-channel vectors")
-    mu = a.values.mean(axis=axes, keepdims=True)
-    centered = a.values - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
+    n = a.values[0].size
+    mu = np.add.reduce(a.values, axis=axes, keepdims=True) / n
+    x_hat = a.values - mu
+    out = np.multiply(x_hat, x_hat)
+    var = np.add.reduce(out, axis=axes, keepdims=True) / n
     inv_sigma = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_sigma
+    x_hat *= inv_sigma
     expand = (slice(None),) + (None,) * (a.values.ndim - 1)
+    np.multiply(gain.values[expand], x_hat, out=out)
+    out += bias.values[expand]
 
     def grad_fn(g):
-        gg = g * gain.values[expand]
-        mean_g = gg.mean(axis=axes, keepdims=True)
-        mean_gx = (gg * x_hat).mean(axis=axes, keepdims=True)
-        _accumulate(a, inv_sigma * (gg - mean_g - x_hat * mean_gx))
-        _accumulate(gain, (g * x_hat).sum(axis=axes))
-        _accumulate(bias, g.sum(axis=axes))
+        scratch = np.empty_like(g)
+        if gain.requires_grad:
+            np.multiply(g, x_hat, out=scratch)
+            _accumulate(gain, np.add.reduce(scratch, axis=axes))
+        if bias.requires_grad:
+            _accumulate(bias, np.add.reduce(g, axis=axes))
+        if a.requires_grad:
+            gg = g * gain.values[expand]
+            mean_g = np.add.reduce(gg, axis=axes, keepdims=True) / n
+            np.multiply(gg, x_hat, out=scratch)
+            mean_gx = np.add.reduce(scratch, axis=axes, keepdims=True) / n
+            np.multiply(x_hat, mean_gx, out=scratch)
+            gg -= mean_g  # inv_sigma * (gg - mean_g - x_hat * mean_gx)
+            gg -= scratch
+            gg *= inv_sigma
+            _accumulate(a, gg)
 
-    return _result(gain.values[expand] * x_hat + bias.values[expand], (a, gain, bias), grad_fn)
+    return _result(out, (a, gain, bias), grad_fn)
 
 
 def add_leading_axis(a: Tensor) -> Tensor:
@@ -288,11 +319,41 @@ def upsample2(a: Tensor) -> Tensor:
     return _result(values, (a,), grad_fn)
 
 
+def _im2col1d(values: np.ndarray, k: int, stride: int, padding: int, f_out: int) -> np.ndarray:
+    """Columns [Cin * K, F_out] of a zero-padded [Cin, F] input."""
+    c_in, frames = values.shape
+    xp = np.zeros((c_in, frames + 2 * padding))
+    xp[:, padding : padding + frames] = values
+    cols = np.empty((c_in, k, f_out))
+    span = (f_out - 1) * stride + 1
+    for j in range(k):
+        cols[:, j, :] = xp[:, j : j + span : stride]
+    return cols.reshape(c_in * k, f_out)
+
+
+def _im2col2d(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int, w_out: int):
+    """Columns [Cin * KH * KW, H_out * W_out] of a zero-padded [Cin, H, W] input."""
+    c_in, h, wd = values.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw))
+    xp[:, ph : ph + h, pw : pw + wd] = values
+    cols = np.empty((c_in, kh, kw, h_out, w_out))
+    span_h = (h_out - 1) * sh + 1
+    span_w = (w_out - 1) * sw + 1
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + span_h : sh, j : j + span_w : sw]
+    return cols.reshape(c_in * kh * kw, h_out * w_out)
+
+
 def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution: x [Cin, F], w [Cout, Cin, K], b [Cout] or None.
 
     Pass ``b=None`` for bias-free convolutions (used before norm layers,
-    where a bias would be structurally redundant).
+    where a bias would be structurally redundant). Backward rebuilds the
+    im2col columns from ``x.values`` instead of keeping a K-fold copy of
+    the input alive in the graph.
     """
     c_in, frames = x.shape
     c_out, c_in_w, k = w.shape
@@ -302,27 +363,21 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
     f_out = (f_pad - k) // stride + 1
     if f_out < 1:
         raise ValidationError(f"conv1d output would be empty (frames={frames}, k={k})")
-    xp = np.zeros((c_in, f_pad))
-    xp[:, padding : padding + frames] = x.values
-    cols = np.empty((c_in, k, f_out))
-    span = (f_out - 1) * stride + 1
-    for j in range(k):
-        cols[:, j, :] = xp[:, j : j + span : stride]
-    cols2 = cols.reshape(c_in * k, f_out)
-    w2 = w.values.reshape(c_out, c_in * k)
-    y = w2 @ cols2
+    y = w.values.reshape(c_out, c_in * k) @ _im2col1d(x.values, k, stride, padding, f_out)
     if b is not None:
         y += b.values[:, None]
 
     def grad_fn(g):
         # Frozen weights (requires_grad off) cost no gradient matmul.
         if w.requires_grad:
-            _accumulate(w, (g @ cols2.T).reshape(w.shape))
+            cols = _im2col1d(x.values, k, stride, padding, f_out)
+            _accumulate(w, (g @ cols.T).reshape(w.shape))
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=1))
         if x.requires_grad:
-            gcols = (w2.T @ g).reshape(c_in, k, f_out)
-            gxp = np.zeros_like(xp)
+            gcols = (w.values.reshape(c_out, c_in * k).T @ g).reshape(c_in, k, f_out)
+            gxp = np.zeros((c_in, f_pad))
+            span = (f_out - 1) * stride + 1
             for j in range(k):
                 gxp[:, j : j + span : stride] += gcols[:, j, :]
             _accumulate(x, gxp[:, padding : padding + frames])
@@ -332,7 +387,12 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
 
 
 def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D convolution: x [Cin, H, W], w [Cout, Cin, KH, KW], b [Cout] or None."""
+    """2-D convolution: x [Cin, H, W], w [Cout, Cin, KH, KW], b [Cout] or None.
+
+    The im2col columns stay in the graph only when the weight requires grad
+    at forward time; a weight unfrozen after the forward gets them rebuilt
+    from ``x.values`` in backward.
+    """
     c_in, h, wd = x.shape
     c_out, c_in_w, kh, kw = w.shape
     if c_in_w != c_in:
@@ -346,29 +406,28 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
         raise ValidationError(
             f"conv2d output would be empty (input {h}x{wd}, kernel {kh}x{kw})"
         )
-    xp = np.zeros((c_in, h_pad, w_pad))
-    xp[:, ph : ph + h, pw : pw + wd] = x.values
-    cols = np.empty((c_in, kh, kw, h_out, w_out))
-    span_h = (h_out - 1) * sh + 1
-    span_w = (w_out - 1) * sw + 1
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + span_h : sh, j : j + span_w : sw]
-    cols2 = cols.reshape(c_in * kh * kw, h_out * w_out)
-    w2 = w.values.reshape(c_out, c_in * kh * kw)
-    y = (w2 @ cols2).reshape(c_out, h_out, w_out)
+    cols2 = _im2col2d(x.values, kh, kw, stride, padding, h_out, w_out)
+    y = (w.values.reshape(c_out, c_in * kh * kw) @ cols2).reshape(c_out, h_out, w_out)
     if b is not None:
         y += b.values[:, None, None]
+    kept = cols2 if w.requires_grad else None
 
     def grad_fn(g):
         g2 = g.reshape(c_out, h_out * w_out)
         if w.requires_grad:
-            _accumulate(w, (g2 @ cols2.T).reshape(w.shape))
+            cols = kept if kept is not None else _im2col2d(
+                x.values, kh, kw, stride, padding, h_out, w_out
+            )
+            _accumulate(w, (g2 @ cols.T).reshape(w.shape))
         if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=1))
         if x.requires_grad:
-            gcols = (w2.T @ g2).reshape(c_in, kh, kw, h_out, w_out)
-            gxp = np.zeros_like(xp)
+            gcols = (w.values.reshape(c_out, c_in * kh * kw).T @ g2).reshape(
+                c_in, kh, kw, h_out, w_out
+            )
+            gxp = np.zeros((c_in, h_pad, w_pad))
+            span_h = (h_out - 1) * sh + 1
+            span_w = (w_out - 1) * sw + 1
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, i : i + span_h : sh, j : j + span_w : sw] += gcols[:, i, j]

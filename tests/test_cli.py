@@ -357,6 +357,57 @@ class TestConvertCommand:
         assert rc == 1
 
 
+class TestMalformedInputsExit2:
+    """Bad files fail with FormatError, which the CLI maps to exit code 2."""
+
+    @staticmethod
+    def _bad_label(src, dst):
+        data = bytearray(src.read_bytes())
+        data[24 + 2] = 0xFF  # first byte of the emotion label
+        dst.write_bytes(bytes(data))
+
+    def test_preprocess_non_utf8_label(self, tiny_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus.parent, corpus)
+        victim = sorted(corpus.glob("*.uff"))[0]
+        self._bad_label(victim, victim)
+        rc = main(["preprocess", "--manifest", str(corpus / tiny_corpus.name),
+                   "--out", str(tmp_path / "stats.json")])
+        assert rc == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_convert_inputs_non_utf8_label(self, tiny_config, tiny_corpus, trained, tmp_path):
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "bad.uff"
+        self._bad_label(sorted(tiny_corpus.parent.glob("*.uff"))[0], bad)
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(pros_dir),
+            "--inputs", str(bad), "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+
+    @pytest.mark.parametrize("edit", ["drop_mode", "gen_config_mismatch"])
+    def test_convert_bad_checkpoint_metadata(self, tiny_config, trained, tmp_path, edit, capsys):
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "pros"
+        shutil.copytree(pros_dir, bad)
+        meta = bad / "metadata.json"
+        metadata = json.loads(meta.read_text())
+        if edit == "drop_mode":
+            del metadata["mode"]
+        else:
+            metadata["gen_config"]["base_channels"] *= 2
+        meta.write_text(json.dumps(metadata))
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(bad),
+            "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert ("'mode'" if edit == "drop_mode" else "gen_config") in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_self_evaluation_perfect(self, tiny_corpus, tmp_path, capsys):
         ref_dir = tmp_path / "ref"

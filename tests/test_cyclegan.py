@@ -1,9 +1,11 @@
 import importlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prosodia.errors import NumericError, ValidationError
+from prosodia.errors import FormatError, NumericError, ValidationError
 from prosodia.cyclegan import (
     CorpusStats,
     LossWeights,
@@ -19,9 +21,18 @@ from prosodia.cyclegan import (
     train,
 )
 from prosodia.cyclegan.losses import GENERATOR_SIDE
-from prosodia.cyclegan.train import LossLog
+from prosodia.cyclegan.model import FeatureStats
+from prosodia.cyclegan.train import LossLog, _sample_segment
 from prosodia.features import UtteranceFeatures
-from prosodia.nn import Tensor, backward, forward_discriminator, forward_generator
+from prosodia.nn import (
+    Tensor,
+    backward,
+    forward_discriminator,
+    forward_generator,
+    load_params,
+    save_params,
+)
+from prosodia.nn.network import ParamStore
 from prosodia.nn.tensor import add, add_leading_axis
 from prosodia.prosody import NormStats, WaveletParams
 
@@ -198,6 +209,22 @@ class TestTraining:
         for key in ("d_x", "d_y"):
             assert all(p.grad is None for _, p in frozen.stores()[key])
             assert all(p.grad is not None for _, p in trainable.stores()[key])
+
+    def test_sampled_segments_standardize_bitwise(self):
+        # train() standardizes each segment as it samples it; that must give
+        # the segment a standardized set gives, with the same RNG draws.
+        local = np.random.default_rng(21)
+        short, exact = local.normal(2, 3, (5, 9)), local.normal(2, 3, (5, 16))
+        mixed = [local.normal(2, 3, (5, n)) for n in (40, 64)] + [short, exact]
+        for sets in ([short], mixed):
+            stats = FeatureStats.fit(sets, sets)
+            standardized = [stats.standardize(f, "x") for f in sets]
+            before, after = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(40):
+                a = _sample_segment(standardized, before, 16)
+                b = stats.standardize(_sample_segment(sets, after, 16), "x")
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert before.bit_generator.state == after.bit_generator.state
 
     def test_dimension_mismatch_rejected(self):
         model = tiny_model()
@@ -431,6 +458,90 @@ class TestCheckpointDirectory:
         (tmp_path / "d_y.prm1").unlink()
         with pytest.raises(ValidationError, match="d_y"):
             load_model_checkpoint(tmp_path)
+
+    def _saved(self, tmp_path):
+        model = tiny_model(seed=6)
+        stats = CorpusStats("A", "B", NormStats(5.2, 0.2), NormStats(5.6, 0.25))
+        save_model_checkpoint(
+            tmp_path, model, LossWeights(), tiny_schedule(total=4), stats, WaveletParams()
+        )
+        return tmp_path / "metadata.json"
+
+    @pytest.mark.parametrize(
+        "key", ["mode", "seed", "gen_config", "disc_config", "weights", "schedule", "stats",
+                "wavelet"],
+    )
+    def test_missing_metadata_key_is_format_error(self, tmp_path, key):
+        meta = self._saved(tmp_path)
+        metadata = json.loads(meta.read_text())
+        del metadata[key]
+        meta.write_text(json.dumps(metadata))
+        with pytest.raises(FormatError, match=repr(key)):
+            load_model_checkpoint(tmp_path)
+
+    def test_metadata_array_is_format_error(self, tmp_path):
+        self._saved(tmp_path).write_text("[1, 2]")
+        with pytest.raises(FormatError, match="JSON object"):
+            load_model_checkpoint(tmp_path)
+
+    def test_generator_store_must_match_gen_config(self, tmp_path):
+        meta = self._saved(tmp_path)
+        metadata = json.loads(meta.read_text())
+        metadata["gen_config"]["base_channels"] = 4  # the stores hold base_channels 2
+        meta.write_text(json.dumps(metadata))
+        with pytest.raises(FormatError, match="gen_config"):
+            load_model_checkpoint(tmp_path)
+
+    def test_generator_store_missing_a_parameter_is_format_error(self, tmp_path):
+        self._saved(tmp_path)
+        store = load_params(tmp_path / "g_yx.prm1")
+        save_params(ParamStore(dict(list(store)[:-1]), 0), tmp_path / "g_yx.prm1")
+        with pytest.raises(FormatError, match="out.b"):
+            load_model_checkpoint(tmp_path)
+
+    def test_discriminator_store_in_the_old_layout_loads(self, tmp_path):
+        # Stores written before discriminators dropped their norms hold
+        # layer2..3.norm.* and no layer2..3.b; conversion never runs them.
+        self._saved(tmp_path)
+        params = dict(load_params(tmp_path / "d_x.prm1"))
+        for j in (2, 3):
+            channels = params.pop(f"layer{j}.b").values.size
+            params[f"layer{j}.norm.gain"] = Tensor(np.ones(channels))
+            params[f"layer{j}.norm.bias"] = Tensor(np.zeros(channels))
+        save_params(ParamStore(params, 0), tmp_path / "d_x.prm1")
+        loaded = load_model_checkpoint(tmp_path)
+        assert "layer2.norm.gain" in loaded.model.d_x.names()
+
+
+class TestMemoryGuard:
+    def test_training_traced_peak_below_bound(self):
+        """Traced allocations of a short joint run stay under 16 MB above start.
+
+        Joint mode, ``base_channels`` 16, 128-frame segments, 3 iterations on
+        8+8 random 34x400 sets. The traced peak read 26.3 MB while conv
+        closures held im2col columns and padded inputs and train() held
+        standardized copies of both sets; it reads 12.9 MB since closures
+        hold only what backward reads. tracemalloc counts numpy buffers
+        exactly, so unlike RSS this does not drift with the machine.
+        """
+        local = np.random.default_rng(0)
+        xs = [local.normal(0, 1, (34, 400)) for _ in range(8)]
+        ys = [local.normal(0, 1, (34, 400)) for _ in range(8)]
+        model = build_model("joint", base_channels=16, seed=0)
+        schedule = TrainSchedule(
+            total_iters=3, constant_lr_iters=3, decay_iters=0, segment_frames=128, seed=0
+        )
+        already_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train(model, xs, ys, LossWeights(), schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not already_tracing:
+                tracemalloc.stop()
+        assert (peak - start) / 1e6 < 16.0
 
 
 class TestNonFiniteAbort:

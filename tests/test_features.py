@@ -119,6 +119,27 @@ class TestFormatErrors:
             read_feature_file(path)
 
 
+    @pytest.mark.parametrize("field", ["emotion", "utterance_id"])
+    def test_non_utf8_string_is_format_error(self, tmp_path, field):
+        path = tmp_path / "s.uff"
+        write_feature_file(make_features(utt_id="u", emotion="A"), path)
+        data = bytearray(path.read_bytes())
+        label_at = 24 + 2  # header, then the label's u16 length
+        data[label_at if field == "emotion" else label_at + 1 + 2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_feature_file(path)
+
+    def test_every_proper_prefix_is_rejected(self, tmp_path):
+        path = tmp_path / "p.uff"
+        write_feature_file(make_features(n=8), path)
+        data = path.read_bytes()
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises((FormatError, ValidationError)):
+                read_feature_file(path)
+
+
 def write_corpus(tmp_path, emotions=("neutral", "angry"), n_per_emotion=90, n_frames=6):
     entries = []
     for emotion in emotions:

@@ -20,7 +20,7 @@ from prosodia.nn import (
     save_params,
 )
 from prosodia.nn.checkpoint import PRM_MAGIC
-from prosodia.nn.network import ParamStore
+from prosodia.nn.network import ParamStore, param_layout
 from prosodia.nn.tensor import (
     absolute,
     add,
@@ -31,6 +31,7 @@ from prosodia.nn.tensor import (
     leaky_relu,
     matmul,
     mean,
+    mul,
     square,
     sub,
     total,
@@ -62,6 +63,22 @@ class TestInit:
             assert biases
             for name in biases:
                 assert np.abs(store[name].values).max() == 0.0
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            generator_config(5, base_channels=4),
+            generator_config(34, base_channels=16, n_residual=2),
+            discriminator_config(6, 4),
+        ],
+    )
+    def test_matches_init_params(self, cfg):
+        store = init_params(cfg, 0)
+        layout = param_layout(cfg)
+        assert store.names() == list(layout)
+        assert {name: p.shape for name, p in store} == layout
 
 
 class TestGeneratorShapes:
@@ -381,3 +398,132 @@ class TestCheckpointFormat:
         )
         with pytest.raises(FormatError, match="UTF-8"):
             load_params(path)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _closure_arrays(t: Tensor) -> list:
+    cells = t._backward_fn.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+def _pull(out: Tensor, g: np.ndarray) -> None:
+    """Backward with ``g`` as the output gradient, exactly (1.0 * g == g)."""
+    backward(total(mul(out, Tensor(g))))
+
+
+def _reference_instance_norm(x, gain, bias, g, eps=1e-5):
+    """The formula instance_norm computed with one temporary per step."""
+    axes = tuple(range(1, x.ndim))
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * inv_sigma
+    expand = (slice(None),) + (None,) * (x.ndim - 1)
+    out = gain[expand] * x_hat + bias[expand]
+    gg = g * gain[expand]
+    mean_g = gg.mean(axis=axes, keepdims=True)
+    mean_gx = (gg * x_hat).mean(axis=axes, keepdims=True)
+    gx = inv_sigma * (gg - mean_g - x_hat * mean_gx)
+    return out, gx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
+
+
+def _reference_glu(x, g):
+    c = x.shape[0]
+    h = x[: c // 2]
+    gate = 1.0 / (1.0 + np.exp(-x[c // 2 :]))
+    gx = np.empty_like(x)
+    gx[: c // 2] = g * gate
+    gx[c // 2 :] = g * h * gate * (1.0 - gate)
+    return h * gate, gx
+
+
+class TestGraphHoldsOnlyWhatBackwardReads:
+    def test_conv1d_closure_holds_no_array_larger_than_input(self):
+        local = np.random.default_rng(41)
+        x = Tensor(local.normal(0, 1, (3, 40)), requires_grad=True)
+        w = Tensor(local.normal(0, 1, (4, 3, 5)), requires_grad=True)
+        b = Tensor(local.normal(0, 1, 4), requires_grad=True)
+        out = conv1d(x, w, b, stride=1, padding=2)
+        assert all(a.size <= x.values.size for a in _closure_arrays(out))
+
+    def test_frozen_conv2d_closure_holds_no_array_larger_than_input(self):
+        local = np.random.default_rng(42)
+        x = Tensor(local.normal(0, 1, (1, 8, 16)), requires_grad=True)
+        w = Tensor(local.normal(0, 1, (2, 1, 3, 4)))
+        b = Tensor(local.normal(0, 1, 2))
+        out = conv2d(x, w, b, (2, 2), (1, 1))
+        assert all(a.size <= x.values.size for a in _closure_arrays(out))
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
+    @pytest.mark.parametrize("weight_trainable", [False, True])
+    def test_conv_gradcheck(self, op, weight_trainable):
+        local = np.random.default_rng(43)
+        if op == "conv1d":
+            x = Tensor(local.normal(0, 1, (2, 12)), requires_grad=True)
+            w = Tensor(local.normal(0, 0.5, (3, 2, 3)), requires_grad=weight_trainable)
+            b = Tensor(local.normal(0, 0.5, 3), requires_grad=weight_trainable)
+            loss = lambda: mean(square(conv1d(x, w, b, stride=2, padding=1)))  # noqa: E731
+        else:
+            x = Tensor(local.normal(0, 1, (1, 6, 8)), requires_grad=True)
+            w = Tensor(local.normal(0, 0.5, (2, 1, 3, 4)), requires_grad=weight_trainable)
+            b = Tensor(local.normal(0, 0.5, 2), requires_grad=weight_trainable)
+            loss = lambda: mean(square(conv2d(x, w, b, (2, 2), (1, 1))))  # noqa: E731
+        params = _store(x=x, w=w, b=b) if weight_trainable else _store(x=x)
+        err = finite_diff_check(loss, params, h=1e-6, n_probe=10, seed=5)
+        assert err < 1e-5
+
+    def test_conv2d_weight_unfrozen_after_forward(self):
+        def gradients(frozen_at_forward):
+            local = np.random.default_rng(44)
+            x = Tensor(local.normal(0, 1, (1, 8, 16)), requires_grad=True)
+            w = Tensor(local.normal(0, 1, (2, 1, 3, 4)), requires_grad=not frozen_at_forward)
+            b = Tensor(local.normal(0, 1, 2), requires_grad=True)
+            out = conv2d(x, w, b, (2, 2), (1, 1))
+            w.requires_grad = True
+            _pull(out, local.normal(0, 1, out.shape))
+            return x.grad, w.grad, b.grad
+
+        for late, early in zip(gradients(True), gradients(False)):
+            assert late is not None and _same_bits(late, early)
+
+    def test_leaky_relu_matches_factor_formula(self):
+        local = np.random.default_rng(45)
+        x = np.concatenate([[0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324], local.normal(0, 1, 30)])
+        g = np.concatenate([[-0.0, 0.0, -0.0, 0.0, 1.0, -1.0], local.normal(0, 1, 30)])
+        factor = np.where(x > 0, 1.0, 0.2)
+        p = Tensor(x, requires_grad=True)
+        out = leaky_relu(p, 0.2)
+        _pull(out, g)
+        assert _same_bits(out.values, x * factor)
+        assert _same_bits(p.grad, g * factor)
+
+    @pytest.mark.parametrize("shape", [(6, 300), (4, 7, 50)])
+    def test_instance_norm_matches_reference(self, shape):
+        local = np.random.default_rng(46)
+        x = local.normal(0.3, 2.0, shape)
+        gain, bias = local.normal(1, 0.2, shape[0]), local.normal(0, 0.2, shape[0])
+        g = local.normal(0, 1, shape)
+        tensors = [Tensor(v, requires_grad=True) for v in (x, gain, bias)]
+        out = instance_norm(*tensors)
+        _pull(out, g)
+        expected = _reference_instance_norm(x, gain, bias, g)
+        got = (out.values,) + tuple(t.grad for t in tensors)
+        for e, v in zip(expected, got):
+            assert _same_bits(v, e)
+
+    @pytest.mark.parametrize("shape", [(6, 300), (4, 7, 50)])
+    def test_glu_matches_reference(self, shape):
+        local = np.random.default_rng(47)
+        x = local.normal(0, 2.0, shape)
+        g = local.normal(0, 1, (shape[0] // 2,) + shape[1:])
+        p = Tensor(x, requires_grad=True)
+        out = glu(p)
+        _pull(out, g)
+        expected_out, expected_grad = _reference_glu(x, g)
+        assert _same_bits(out.values, expected_out)
+        assert _same_bits(p.grad, expected_grad)
