@@ -159,10 +159,19 @@ def _config_overrides(args) -> dict:
 
 def cmd_synth_corpus(args) -> int:
     if args.synth_spec:
-        raw = json.loads(Path(args.synth_spec).read_text(encoding="utf-8"))
+        path = Path(args.synth_spec)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"{path}: invalid JSON ({err})") from err
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: synth spec must be a JSON object")
         raw.setdefault("n_train_each", args.n_train)
         raw.setdefault("n_eval", args.n_eval)
-        spec = SynthCorpusSpec.from_dict(raw)
+        try:
+            spec = SynthCorpusSpec.from_dict(raw)
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise ValidationError(f"{path}: malformed synth spec ({err!r})") from err
     else:
         spec = SynthCorpusSpec(n_train_each=args.n_train, n_eval=args.n_eval)
     with pipeline.OutputDir(args.out) as out:

@@ -156,12 +156,22 @@ def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats, str]:
     path = Path(ckpt_dir) / LG_STATS_FILE
     if not path.exists():
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return (
-        LgStats.from_dict(payload["source"]),
-        LgStats.from_dict(payload["target"]),
-        payload["target_emotion"],
-    )
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    try:
+        return (
+            LgStats.from_dict(payload["source"]),
+            LgStats.from_dict(payload["target"]),
+            payload["target_emotion"],
+        )
+    except KeyError as err:
+        raise FormatError(f"{path}: missing required key {err.args[0]!r}") from err
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"{path}: malformed statistics ({err})") from err
 
 
 def convert_with_models(

@@ -143,7 +143,11 @@ class FeatureStats:
         def stats(sets):
             pooled = np.concatenate([np.asarray(f, dtype=np.float64) for f in sets], axis=1)
             mean = pooled.mean(axis=1)
-            std = pooled.std(axis=1)
+            # What ``pooled.std(axis=1)`` computes, with the deviations written
+            # over the pooled copy instead of into a second set-sized array.
+            pooled -= mean[:, None]
+            np.multiply(pooled, pooled, out=pooled)
+            std = np.sqrt(np.add.reduce(pooled, axis=1) / pooled.shape[1])
             floor = frac * max(float(std.max()), 1e-12)
             return mean, np.maximum(std, floor)
 

@@ -36,7 +36,10 @@ def load_manifest(manifest_path) -> CorpusManifest:
     as is any referenced file that does not exist.
     """
     manifest_path = Path(manifest_path)
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{manifest_path}: invalid JSON ({err})") from err
     if not isinstance(raw, list):
         raise ValidationError(f"{manifest_path}: manifest must be a JSON array")
     base = manifest_path.parent

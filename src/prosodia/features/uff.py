@@ -123,6 +123,7 @@ def read_feature_file(path) -> UtteranceFeatures:
         raise FormatError(
             f"{path}: payload byte count mismatch, expected {expected}, got {actual}"
         )
+    # Copies: a view would keep the whole file's bytes alive with the utterance.
     mceps = np.frombuffer(data, dtype="<f4", count=n * MCEP_DIM, offset=off)
     off += n * MCEP_DIM * 4
     f0 = np.frombuffer(data, dtype="<f4", count=n, offset=off)
@@ -130,8 +131,8 @@ def read_feature_file(path) -> UtteranceFeatures:
         utterance_id=utt_id,
         emotion_label=emotion,
         frame_period_ms=frame_period,
-        mceps=mceps.reshape(n, MCEP_DIM).T,
-        f0_hz=f0,
+        mceps=mceps.reshape(n, MCEP_DIM).T.copy(),
+        f0_hz=f0.copy(),
     )
 
 

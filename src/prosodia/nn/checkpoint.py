@@ -72,4 +72,4 @@ def load_params(path) -> ParamStore:
         params[name] = Tensor(values.copy(), requires_grad=True)
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after last parameter")
-    return ParamStore(params, rng_seed=-1)
+    return ParamStore(params)

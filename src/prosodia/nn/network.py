@@ -119,9 +119,8 @@ def discriminator_config(in_channels: int, base_channels: int = 32) -> NetworkCo
 class ParamStore:
     """Named, insertion-ordered map of trainable tensors."""
 
-    def __init__(self, params: dict, rng_seed: int):
+    def __init__(self, params: dict):
         self.params = params
-        self.rng_seed = rng_seed
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -216,7 +215,7 @@ def init_params(config: NetworkConfig, seed: int) -> ParamStore:
         else:
             values = np.zeros(shape)
         params[name] = Tensor(values, requires_grad=True)
-    return ParamStore(params, rng_seed=seed)
+    return ParamStore(params)
 
 
 def forward_generator(params: ParamStore, config: NetworkConfig, x: Tensor) -> Tensor:

@@ -127,7 +127,7 @@ def test_c3_gradient_correctness():
     x1 = local.normal(0, 1, (2, 12))
     results["conv1d"] = finite_diff_check(
         lambda: mean(square(conv1d(Tensor(x1), w1, b1, stride=2, padding=1))),
-        ParamStore({"w": w1, "b": b1}, 0), 1e-6, 10, 5,
+        ParamStore({"w": w1, "b": b1}), 1e-6, 10, 5,
     )
 
     w2 = Tensor(local.normal(0, 0.5, (2, 1, 3, 4)), requires_grad=True)
@@ -135,14 +135,14 @@ def test_c3_gradient_correctness():
     x2 = local.normal(0, 1, (1, 6, 8))
     results["conv2d"] = finite_diff_check(
         lambda: mean(square(conv2d(Tensor(x2), w2, b2, (2, 2), (1, 1)))),
-        ParamStore({"w": w2, "b": b2}, 0), 1e-6, 10, 5,
+        ParamStore({"w": w2, "b": b2}), 1e-6, 10, 5,
     )
 
     p = Tensor(local.normal(0, 1, (4, 6)), requires_grad=True)
     gain = Tensor(1.0 + 0.1 * local.normal(size=4), requires_grad=True)
     bias = Tensor(0.1 * local.normal(size=4), requires_grad=True)
     target = Tensor(local.normal(0, 1, (4, 6)))
-    store = ParamStore({"p": p, "gain": gain, "bias": bias}, 0)
+    store = ParamStore({"p": p, "gain": gain, "bias": bias})
     results["residual add"] = finite_diff_check(
         lambda: mean(square(add(p, square(p)))), store, 1e-6, 10, 5)
     results["glu"] = finite_diff_check(
@@ -164,7 +164,7 @@ def test_c3_gradient_correctness():
     x = local.normal(0, 1, (3, 16))
     y = local.normal(0, 1, (3, 16))
     gen_params = ParamStore(
-        {f"gxy.{n}": p for n, p in g_xy} | {f"gyx.{n}": p for n, p in g_yx}, 0
+        {f"gxy.{n}": p for n, p in g_xy} | {f"gyx.{n}": p for n, p in g_yx}
     )
 
     def composite():

@@ -408,6 +408,50 @@ class TestMalformedInputsExit2:
         assert ("'mode'" if edit == "drop_mode" else "gen_config") in capsys.readouterr().err
 
 
+class TestMalformedJson:
+    """Bad JSON fails with ValidationError (exit 1) or FormatError (exit 2), not a traceback."""
+
+    def test_preprocess_truncated_manifest(self, tiny_corpus, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        text = tiny_corpus.read_text(encoding="utf-8")
+        manifest.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert main(["preprocess", "--manifest", str(manifest)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ['{"n_eval": 1, "frames_m', "[1, 2]", '{"emotions": {"A": {}, "B": {}}}'],
+        ids=["truncated", "array", "missing_key"],
+    )
+    def test_synth_corpus_bad_spec(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        rc = main(["synth-corpus", "--out", str(tmp_path / "corpus"), "--seed", "3",
+                   "--synth-spec", str(spec)])
+        assert rc == 1
+
+    @pytest.mark.parametrize("edit", ["missing_key", "array", "truncated"])
+    def test_baseline_convert_bad_lg_stats(self, tiny_config, trained, tmp_path, edit, capsys):
+        bad = tmp_path / "base"
+        shutil.copytree(trained[2], bad)
+        stats = bad / "lg_stats.json"
+        text = stats.read_text(encoding="utf-8")
+        if edit == "missing_key":
+            payload = json.loads(text)
+            del payload["target"]["std"]
+            text = json.dumps(payload)
+        elif edit == "array":
+            text = json.dumps(list(json.loads(text).values()))
+        else:
+            text = text[: len(text) // 2]
+        stats.write_text(text, encoding="utf-8")
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "baseline",
+            "--baseline-ckpt", str(bad), "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "lg_stats.json" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_self_evaluation_perfect(self, tiny_corpus, tmp_path, capsys):
         ref_dir = tmp_path / "ref"

@@ -226,6 +226,19 @@ class TestTraining:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert before.bit_generator.state == after.bit_generator.state
 
+    def test_fit_matches_pooled_statistics_bitwise(self):
+        # fit() computes the deviations in place; mean and std must keep the
+        # bits of ndarray.mean and ndarray.std on the pooled array, past
+        # numpy's 8192-element buffer too, and float32 inputs widen the same way.
+        local = np.random.default_rng(22)
+        sets = [local.normal(3, 7, (6, n)) for n in (1, 9, 833, 1088, 5000, 4100)]
+        for dtype in (np.float64, np.float32):
+            typed = [f.astype(dtype) for f in sets]
+            stats = FeatureStats.fit(typed, typed[:2], floor_fraction=0.0)
+            pooled = np.concatenate([f.astype(np.float64) for f in typed], axis=1)
+            assert stats.x_mean.tobytes() == pooled.mean(axis=1).tobytes()
+            assert stats.x_std.tobytes() == pooled.std(axis=1).tobytes()
+
     def test_dimension_mismatch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValidationError):
@@ -495,7 +508,7 @@ class TestCheckpointDirectory:
     def test_generator_store_missing_a_parameter_is_format_error(self, tmp_path):
         self._saved(tmp_path)
         store = load_params(tmp_path / "g_yx.prm1")
-        save_params(ParamStore(dict(list(store)[:-1]), 0), tmp_path / "g_yx.prm1")
+        save_params(ParamStore(dict(list(store)[:-1])), tmp_path / "g_yx.prm1")
         with pytest.raises(FormatError, match="out.b"):
             load_model_checkpoint(tmp_path)
 
@@ -508,7 +521,7 @@ class TestCheckpointDirectory:
             channels = params.pop(f"layer{j}.b").values.size
             params[f"layer{j}.norm.gain"] = Tensor(np.ones(channels))
             params[f"layer{j}.norm.bias"] = Tensor(np.zeros(channels))
-        save_params(ParamStore(params, 0), tmp_path / "d_x.prm1")
+        save_params(ParamStore(params), tmp_path / "d_x.prm1")
         loaded = load_model_checkpoint(tmp_path)
         assert "layer2.norm.gain" in loaded.model.d_x.names()
 
@@ -520,9 +533,11 @@ class TestMemoryGuard:
         Joint mode, ``base_channels`` 16, 128-frame segments, 3 iterations on
         8+8 random 34x400 sets. The traced peak read 26.3 MB while conv
         closures held im2col columns and padded inputs and train() held
-        standardized copies of both sets; it reads 12.9 MB since closures
-        hold only what backward reads. tracemalloc counts numpy buffers
-        exactly, so unlike RSS this does not drift with the machine.
+        standardized copies of both sets; it read 12.9 MB once closures held
+        only what backward reads, and reads 10.4 MB since graph nodes hold no
+        tensors.
+        tracemalloc counts numpy buffers exactly, so unlike RSS this does not
+        drift with the machine.
         """
         local = np.random.default_rng(0)
         xs = [local.normal(0, 1, (34, 400)) for _ in range(8)]
@@ -543,6 +558,29 @@ class TestMemoryGuard:
                 tracemalloc.stop()
         assert (peak - start) / 1e6 < 16.0
 
+
+    def test_fit_traced_peak_is_one_pooled_copy(self):
+        """FeatureStats.fit over 20+20 sets of 34x1000 stays under 8 MB traced.
+
+        The pooled [34, 20000] copy is 5.4 MB. ``pooled.std`` held a second
+        array of that size for the deviations, 10.9 MB at the peak, on every
+        train() call; writing the deviations over the pooled copy holds one,
+        5.4 MB.
+        """
+        local = np.random.default_rng(23)
+        xs = [local.normal(0, 1, (34, 1000)) for _ in range(20)]
+        ys = [local.normal(0, 1, (34, 1000)) for _ in range(20)]
+        already_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            FeatureStats.fit(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not already_tracing:
+                tracemalloc.stop()
+        assert (peak - start) / 1e6 < 8.0
 
 class TestNonFiniteAbort:
     def test_training_abort_reports_iteration(self):

@@ -57,6 +57,14 @@ class TestRoundTrip:
             assert read_feature_file(path).equals(feats)
 
 
+    @pytest.mark.parametrize("n", [1, 90])
+    def test_read_arrays_own_their_memory(self, tmp_path, n):
+        """Neither array is a view, so a loaded utterance does not pin the file's bytes."""
+        path = tmp_path / "own.uff"
+        write_feature_file(make_features(n=n, seed=4), path)
+        back = read_feature_file(path)
+        assert back.mceps.base is None and back.f0_hz.base is None
+
 class TestValidation:
     def test_frame_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
