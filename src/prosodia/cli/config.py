@@ -107,7 +107,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValidationError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValidationError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")

@@ -162,7 +162,7 @@ def cmd_synth_corpus(args) -> int:
         path = Path(args.synth_spec)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValidationError(f"{path}: invalid JSON ({err})") from err
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: synth spec must be a JSON object")

@@ -158,7 +158,7 @@ def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats, str]:
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")

@@ -7,7 +7,6 @@ from prosodia.cyclegan.checkpoint import (
 from prosodia.cyclegan.convert import (
     STATS_SOURCE,
     STATS_TARGET,
-    convert_features,
     convert_utterance,
 )
 from prosodia.cyclegan.losses import adversarial_loss, cycle_loss, identity_loss
@@ -45,7 +44,6 @@ __all__ = [
     "TrainSchedule",
     "adversarial_loss",
     "build_model",
-    "convert_features",
     "convert_utterance",
     "cycle_loss",
     "identity_loss",

@@ -99,7 +99,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
         raise ValidationError(f"{directory}: missing {METADATA_FILE}; not a checkpoint directory")
     try:
         metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{meta_path}: invalid JSON ({err})") from err
     if not isinstance(metadata, dict):
         raise FormatError(f"{meta_path}: expected a JSON object, got {type(metadata).__name__}")

@@ -14,11 +14,6 @@ STATS_SOURCE = "source"
 STATS_TARGET = "target"
 
 
-def convert_features(model, features, direction: str = FORWARD) -> np.ndarray:
-    """Full-length conversion of a [channels, N] matrix through one generator."""
-    return model.convert(np.asarray(features, dtype=np.float64), direction)
-
-
 def convert_utterance(
     utt: UtteranceFeatures,
     *,

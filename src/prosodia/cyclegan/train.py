@@ -17,8 +17,8 @@ from prosodia.cyclegan.losses import (
 )
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.nn.adam import AdamState, adam_step
-from prosodia.nn.network import forward_discriminator, forward_generator
-from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, scale
+from prosodia.nn.network import forward_discriminator, forward_generator, stack_params
+from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, scale, take
 
 LOSS_COLUMNS = ("iter", "lr", "adv_g", "adv_d", "cyc", "id")
 
@@ -85,16 +85,34 @@ def train(
 ) -> tuple[CycleGanModel, LossLog]:
     """Train in place and return the model with its loss log.
 
-    Each iteration samples one segment per side and runs both generators on
-    them once, keeping their graphs. The discriminators are then updated on
-    the least-squares objective, scoring those outputs' values as frozen
-    fakes. Last, with the discriminators' parameters frozen, both generators
-    are updated on the adversarial + cycle (+ identity, while active)
-    objective, which differentiates through the same two forwards: the
-    generators have not changed since they ran. Fully deterministic given
-    the schedule seed, the data and the BLAS thread count; a different
-    thread count sums matrix products in another order, and the
-    trajectories drift apart from those last-bit differences.
+    Both generators run as one stacked call, and so do both discriminators:
+    at the start, each pair's parameters are rebound to views of one
+    [2, ...] buffer per name (``stack_params``), the generators in the
+    order (G_xy, G_yx) and the discriminators in the order (D_y, D_x), so
+    the generators' outputs (fake_y, fake_x) meet the discriminators of
+    their domains slice by slice. Each iteration samples one segment per
+    side and then makes these calls:
+
+    1. the generators on (x, y), giving (fake_y, fake_x) with their graphs;
+    2. D-step: the discriminators score real and fake in one call on
+       [(real, fake), (D_y, D_x), 1, C, F], the fakes entering as values cut
+       from their graphs, and are updated on the least-squares objective;
+    3. G-step, with the discriminators' parameters frozen: the
+       discriminators score the fakes, the generators map the fakes back
+       (the input reordered to (fake_x, fake_y), giving (cycled_y,
+       cycled_x)), and while the identity loss is active a third generator
+       call maps (y, x). Both generators are then updated on the
+       adversarial + cycle (+ identity) objective, which differentiates
+       through call 1: the generators have not changed since it ran.
+
+    The identity call stays separate so that its gradients reach the
+    generator weights after those of calls 1 and 3, which keeps the order
+    in which the unstacked loop summed them. Every slice of a stacked call
+    is computed exactly as a call on that slice alone, so the loss log and
+    parameters are bit for bit those of one call per direction. Fully
+    deterministic given the schedule seed, the data and the BLAS thread
+    count; a different thread count sums matrix products in another order,
+    and the trajectories drift apart from those last-bit differences.
     Features are standardized per dimension over each side's training set;
     the constants stay on the model for conversion. Each segment is
     standardized as it is sampled, so no standardized copy of the training
@@ -107,6 +125,9 @@ def train(
     rng = np.random.default_rng(schedule.seed)
     seg = schedule.segment_frames
 
+    # Each call stacks again: a copy of the model holds separate arrays.
+    generators = stack_params(model.g_xy, model.g_yx)
+    discriminators = stack_params(model.d_y, model.d_x)
     opt = {
         "g_xy": AdamState.for_params(model.g_xy),
         "g_yx": AdamState.for_params(model.g_yx),
@@ -115,35 +136,25 @@ def train(
     }
     gen_cfg, disc_cfg = model.gen_config, model.disc_config
 
-    def d_scores(store, feature_map) -> Tensor:
-        t = feature_map if isinstance(feature_map, Tensor) else Tensor(feature_map[None, :, :])
-        return forward_discriminator(store, disc_cfg, t)
-
     d_params = [p for store in (model.d_x, model.d_y) for _, p in store]
     rows = []
     for t in range(1, schedule.total_iters + 1):
         try:
-            x_seg = stats.standardize(_sample_segment(xs, rng, seg), "x")
-            y_seg = stats.standardize(_sample_segment(ys, rng, seg), "y")
+            xy = np.stack((
+                stats.standardize(_sample_segment(xs, rng, seg), "x"),
+                stats.standardize(_sample_segment(ys, rng, seg), "y"),
+            ))
             lr_g = schedule.learning_rate(schedule.lr_g, t)
             lr_d = schedule.learning_rate(schedule.lr_d, t)
-            x_t, y_t = Tensor(x_seg), Tensor(y_seg)
-            fake_y = forward_generator(model.g_xy, gen_cfg, x_t)
-            fake_x = forward_generator(model.g_yx, gen_cfg, y_t)
+            x_t, y_t = Tensor(xy[0]), Tensor(xy[1])
+            fakes = forward_generator(generators, gen_cfg, Tensor(xy))  # (fake_y, fake_x)
 
-            # Discriminator update: the fakes enter as values, cut from their graphs.
-            d_loss = add(
-                adversarial_loss(
-                    d_scores(model.d_y, y_seg),
-                    d_scores(model.d_y, fake_y.values),
-                    DISCRIMINATOR_SIDE,
-                ),
-                adversarial_loss(
-                    d_scores(model.d_x, x_seg),
-                    d_scores(model.d_x, fake_x.values),
-                    DISCRIMINATOR_SIDE,
-                ),
+            # Discriminator update on [(real, fake), (D_y, D_x), 1, C, F]: the
+            # fakes enter as values, cut from their graphs.
+            scores = forward_discriminator(
+                discriminators, disc_cfg, Tensor(np.stack((xy[::-1], fakes.values))[:, :, None])
             )
+            d_loss = adversarial_loss(take(scores, 0), take(scores, 1), DISCRIMINATOR_SIDE)
             backward(d_loss)
             adam_step(model.d_x, opt["d_x"], lr_d)
             adam_step(model.d_y, opt["d_y"], lr_d)
@@ -153,25 +164,19 @@ def train(
             # below: gradients for them would belong to no update.
             for p in d_params:
                 p.requires_grad = False
-            cycled_x = forward_generator(model.g_yx, gen_cfg, fake_y)
-            cycled_y = forward_generator(model.g_xy, gen_cfg, fake_x)
-            adv_g = add(
-                adversarial_loss(
-                    None, d_scores(model.d_y, add_leading_axis(fake_y)), GENERATOR_SIDE
-                ),
-                adversarial_loss(
-                    None, d_scores(model.d_x, add_leading_axis(fake_x)), GENERATOR_SIDE
-                ),
+            # (fake_x, fake_y) through (G_xy, G_yx) gives (cycled_y, cycled_x).
+            cycled = forward_generator(generators, gen_cfg, take(fakes, [1, 0]))
+            adv_g = adversarial_loss(
+                None,
+                forward_discriminator(discriminators, disc_cfg, add_leading_axis(fakes)),
+                GENERATOR_SIDE,
             )
-            cyc = cycle_loss(x_t, cycled_x, y_t, cycled_y)
+            cyc = cycle_loss(x_t, take(cycled, 1), y_t, take(cycled, 0))
             g_loss = add(adv_g, scale(cyc, weights.lambda_cyc))
             if t < weights.id_cutoff_iters:
-                ident = identity_loss(
-                    x_t,
-                    forward_generator(model.g_yx, gen_cfg, x_t),
-                    y_t,
-                    forward_generator(model.g_xy, gen_cfg, y_t),
-                )
+                same = forward_generator(generators, gen_cfg, Tensor(xy[::-1]))
+                ident = identity_loss(x_t, take(same, 1), y_t, take(same, 0))
+                del same  # the loss holds what backward reads
                 g_loss = add(g_loss, scale(ident, weights.lambda_id))
                 id_value = ident.item()
             else:

@@ -38,7 +38,7 @@ def load_manifest(manifest_path) -> CorpusManifest:
     manifest_path = Path(manifest_path)
     try:
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValidationError(f"{manifest_path}: invalid JSON ({err})") from err
     if not isinstance(raw, list):
         raise ValidationError(f"{manifest_path}: manifest must be a JSON array")

@@ -33,6 +33,7 @@ from prosodia.nn.tensor import (
     glu,
     instance_norm,
     leaky_relu,
+    stack_leaves,
     upsample2,
 )
 
@@ -142,6 +143,22 @@ class ParamStore:
         return sum(p.values.size for p in self.params.values())
 
 
+def stack_params(*stores: ParamStore) -> ParamStore:
+    """One store that runs same-layout stores as a single stacked call.
+
+    Each parameter becomes a ``stack_leaves`` buffer [len(stores), ...], and
+    every store's Tensor is rebound to its slice, so the stores keep their
+    Tensors and share memory with the result: a forward with the result
+    over inputs [len(stores), ...] runs stores[i] on slice i, and each
+    slice's gradient reaches stores[i]. Copies every value once; stack again
+    after anything replaces a parameter's array (a deep copy, for one).
+    """
+    names = stores[0].names()
+    if any(store.names() != names for store in stores):
+        raise ValidationError("stacked stores must hold the same parameter names")
+    return ParamStore({name: stack_leaves(store[name] for store in stores) for name in names})
+
+
 def _gen_widths(config: NetworkConfig) -> list[int]:
     """Channel widths after the input conv and each downsampling stage."""
     b = config.base_channels
@@ -219,49 +236,64 @@ def init_params(config: NetworkConfig, seed: int) -> ParamStore:
 
 
 def forward_generator(params: ParamStore, config: NetworkConfig, x: Tensor) -> Tensor:
-    """Shape-preserving generator forward over a [channels, frames] tensor."""
+    """Shape-preserving generator forward over a [..., channels, frames] tensor.
+
+    Leading axes stack samples; with a ``stack_params`` store over M
+    generators, an input [M, channels, frames] runs generator i on slice i.
+    """
     if config.kind != GENERATOR_KIND:
         raise ValidationError(f"forward_generator needs a generator config, got {config.kind}")
-    if x.values.ndim != 2 or x.shape[0] != config.in_channels:
+    if x.values.ndim < 2 or x.shape[-2] != config.in_channels:
         raise ValidationError(
-            f"generator input must be [{config.in_channels}, frames], got {x.shape}"
+            f"generator input must be [..., {config.in_channels}, frames], got {x.shape}"
         )
-    frames = x.shape[1]
+    frames = x.shape[-1]
     factor = 2**config.n_downsample
     if frames < factor or frames % factor:
         raise ValidationError(
             f"generator frame count must be a positive multiple of {factor}, got {frames}"
         )
+    lead = x.values.ndim - 2
     k_in, k_down, k_res, k_up, k_out = config.kernel_sizes
 
     h = conv1d(x, params["in.w"], None, stride=1, padding=k_in // 2)
-    h = glu(instance_norm(h, params["in.norm.gain"], params["in.norm.bias"]))
+    h = glu(instance_norm(h, params["in.norm.gain"], params["in.norm.bias"]), lead)
     for j in range(1, config.n_downsample + 1):
         h = conv1d(h, params[f"down{j}.w"], None, stride=2, padding=k_down // 2)
-        h = glu(instance_norm(h, params[f"down{j}.norm.gain"], params[f"down{j}.norm.bias"]))
+        h = glu(
+            instance_norm(h, params[f"down{j}.norm.gain"], params[f"down{j}.norm.bias"]), lead
+        )
     for r in range(1, config.n_residual + 1):
         skip = h
         h = conv1d(h, params[f"res{r}.conv1.w"], None, 1, k_res // 2)
-        h = glu(instance_norm(h, params[f"res{r}.norm1.gain"], params[f"res{r}.norm1.bias"]))
+        h = glu(
+            instance_norm(h, params[f"res{r}.norm1.gain"], params[f"res{r}.norm1.bias"]), lead
+        )
         h = conv1d(h, params[f"res{r}.conv2.w"], None, 1, k_res // 2)
         h = instance_norm(h, params[f"res{r}.norm2.gain"], params[f"res{r}.norm2.bias"])
         h = add(h, skip)
     for j in range(1, config.n_upsample + 1):
         h = upsample2(h)
         h = conv1d(h, params[f"up{j}.w"], None, stride=1, padding=k_up // 2)
-        h = glu(instance_norm(h, params[f"up{j}.norm.gain"], params[f"up{j}.norm.bias"]))
+        h = glu(instance_norm(h, params[f"up{j}.norm.gain"], params[f"up{j}.norm.bias"]), lead)
     return conv1d(h, params["out.w"], params["out.b"], stride=1, padding=k_out // 2)
 
 
 def forward_discriminator(params: ParamStore, config: NetworkConfig, x: Tensor) -> Tensor:
-    """Patch scores for a single [1, channels, frames] feature map."""
+    """Patch scores [..., 1, H, W] for [..., 1, channels, frames] feature maps.
+
+    Leading axes stack samples and broadcast against a ``stack_params``
+    store's model axis: over M discriminators, inputs [M, 1, channels,
+    frames] score one map per model, and [S, M, 1, channels, frames] score
+    S maps per model.
+    """
     if config.kind != DISCRIMINATOR_KIND:
         raise ValidationError(
             f"forward_discriminator needs a discriminator config, got {config.kind}"
         )
-    if x.values.ndim != 3 or x.shape[0] != 1 or x.shape[1] != config.in_channels:
+    if x.values.ndim < 3 or x.shape[-3] != 1 or x.shape[-2] != config.in_channels:
         raise ValidationError(
-            f"discriminator input must be [1, {config.in_channels}, frames], got {x.shape}"
+            f"discriminator input must be [..., 1, {config.in_channels}, frames], got {x.shape}"
         )
     h = x
     n_layers = len(_disc_widths(config))

@@ -4,18 +4,41 @@ Every operation returns a new :class:`Tensor`. When it records a graph, the
 result gets a small :class:`_Node` holding the backward closure, the
 gradient targets of its inputs and its own gradient; the node never holds a
 Tensor's ``values``. A gradient target is an input's node if an op recorded
-that input, or the input Tensor itself if it is a leaf, whose ``grad`` Adam
-reads. Each closure holds the arrays its backward reads and nothing else:
-operand arrays for ``mul``, ``matmul``, ``square`` and ``absolute``, only
-shapes for the adds, ``scale``, ``mean`` and ``total``, a boolean mask
-instead of a float factor for leaky ReLU, and im2col columns only where a
-conv2d weight requires grad; other columns are rebuilt from the input
-array in backward. So a result's ``values`` live exactly as long as the
-caller or some closure holds them: a conv output under an instance norm
-dies when the caller rebinds its name. Convolution backward reads the
-input and weight arrays again, so these must not change in place between
-forward and backward; Adam updates parameters only after ``backward`` has
-returned.
+that input, the input Tensor itself if it is a leaf, whose ``grad`` Adam
+reads, or a :class:`_Stack` if it is a stacked parameter (below). Each
+closure holds the arrays its backward reads and nothing else: operand
+arrays for ``mul``, ``matmul``, ``square`` and ``absolute``, only shapes for
+the adds, ``scale``, ``take``, ``mean`` and ``total``, a boolean mask
+instead of a float factor for leaky ReLU, the ungated half for GLU, and
+im2col columns only where a conv2d weight requires grad; other columns are
+rebuilt from the input array in backward. So a result's ``values`` live
+exactly as long as the caller or some closure holds them: a conv output
+under an instance norm dies when the caller rebinds its name. Convolution
+backward reads the input and weight arrays again, so these must not change
+in place between forward and backward; Adam updates parameters only after
+``backward`` has returned.
+
+Leading axes. The network ops act on a per-sample array in the trailing
+axes ([C, F] for conv1d, [C, H, W] for conv2d) and treat any axes before
+those as a stack of samples, each computed exactly as an unstacked call on
+that slice computes it: the matrix products are numpy's stacked matmul,
+which runs the same 2-D BLAS product per slice, and every reduction runs
+along the per-sample axes. Leading axes broadcast as in numpy, so a stack
+of weights [M, C_out, C_in, K] (one model per slice of M) runs against
+inputs [M, C_in, F] or [S, M, C_in, F] (S samples for each model), and a
+weight used by S samples gets the sum of their gradients. Convolutions
+build columns and take products one sample at a time, each with every
+model of the weight, so their arrays stay the size of one stacked model
+call. An unstacked call is the case with no leading axes. Ops whose per-sample rank is not
+fixed are told where it starts: ``glu`` and ``mean`` take the number of
+leading axes, and ``instance_norm`` reads it from its gain, which carries
+the same leading axes as its input.
+
+A stacked parameter (``stack_leaves``) is one Tensor over a buffer
+[N, ...] whose slices are the ``values`` of N leaves, so a stacked call
+copies no weights. Its gradient target splits each gradient along the
+first axis and accumulates slice i into leaf i, at the moment the op's
+closure runs, exactly as N unstacked calls would have.
 
 ``backward`` walks the nodes once in reverse topological order and frees
 them as it goes: once a node's closure has run, the node drops its
@@ -28,6 +51,8 @@ rejected. All results are checked for NaN/Inf at construction.
 
 from __future__ import annotations
 
+import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -60,6 +85,26 @@ class _Node:
         self.parents = parents
         self.grad = None
         self.done = False
+
+
+class _Stack:
+    """Gradient target of a stacked parameter: slice i goes to ``leaves[i]``.
+
+    It runs no closure and is never consumed, so ``backward`` passes over it
+    as over a leaf and the same stacked parameter serves every step.
+    """
+
+    __slots__ = ("leaves",)
+
+    def __init__(self, leaves):
+        self.leaves = tuple(leaves)
+
+    @property
+    def requires_grad(self):
+        for leaf in self.leaves:  # read by every op and closure: no generator
+            if leaf.requires_grad:
+                return True
+        return False
 
 
 class Tensor:
@@ -103,14 +148,42 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def stack_leaves(leaves) -> Tensor:
+    """One stacked parameter over same-shape leaves; see the module docstring.
+
+    Copies the leaves' values into one buffer [len(leaves), ...] once and
+    rebinds each leaf's ``values`` to its slice, so the leaves keep their
+    identity (optimizer state, checkpoints and single-model calls read them
+    as before) while sharing memory with the result. In-place updates of a
+    leaf are updates of the buffer; replacing a leaf's array unlinks it.
+    Leaves that already are the slices of one buffer, in order, keep it.
+    """
+    leaves = tuple(leaves)
+    shapes = {leaf.shape for leaf in leaves}
+    if len(shapes) != 1:
+        raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
+    buffer = leaves[0].values.base
+    if buffer is None or buffer.shape != (len(leaves),) + leaves[0].shape or any(
+        leaf.values.base is not buffer
+        or leaf.values.__array_interface__["data"] != part.__array_interface__["data"]
+        for leaf, part in zip(leaves, buffer)
+    ):
+        buffer = np.stack([leaf.values for leaf in leaves])
+        for leaf, part in zip(leaves, buffer):
+            leaf.values = part
+    out = Tensor(buffer)
+    out._node = _Stack(leaves)
+    return out
+
+
 def _target(t: Tensor):
-    """Where gradients for ``t`` go: its node, or ``t`` itself for a leaf."""
+    """Where gradients for ``t`` go: its node or router, or ``t`` itself for a leaf."""
     return t if t._node is None else t._node
 
 
 def _result(values, targets, backward_fn) -> Tensor:
     """Build an op result, validating finiteness and wiring the graph."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("operation produced non-finite values")
     out = Tensor(values)
     if _grad_enabled and any(t.requires_grad for t in targets):
@@ -119,9 +192,22 @@ def _result(values, targets, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g.copy() if t.grad is None else t.grad + g
+def _accumulate(t, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into the gradient of target ``t``.
+
+    The first gradient is stored as a copy, or as ``g`` itself when
+    ``owned`` says it is a new contiguous array nothing else reads. Later
+    ones are added in place into that stored array, which no caller reads.
+    """
+    if not t.requires_grad:
+        return
+    if type(t) is _Stack:
+        for leaf, part in zip(t.leaves, g):
+            _accumulate(leaf, part, owned)
+    elif t.grad is None:
+        t.grad = g if owned else g.copy()
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -247,13 +333,25 @@ def absolute(a: Tensor) -> Tensor:
     return _result(np.abs(av), (ta,), grad_fn)
 
 
-def mean(a: Tensor) -> Tensor:
-    ta, shape, inv = _target(a), a.shape, 1.0 / a.values.size
+def mean(a: Tensor, lead: int = 0) -> Tensor:
+    """Mean of each sample: over all axes after the first ``lead``.
+
+    The result has shape ``a.shape[:lead]``. Each mean is one ``np.add.reduce``
+    over the sample's contiguous values divided by their count, which is what
+    ``ndarray.mean`` computes on a contiguous array.
+    """
+    ta, shape = _target(a), a.shape
+    if not 0 <= lead <= len(shape):
+        raise ValidationError(f"mean over {len(shape)} axes cannot keep {lead} leading ones")
+    n = math.prod(shape[lead:])
+    inv = 1.0 / n
+    expand = shape[:lead] + (1,) * (len(shape) - lead)
 
     def grad_fn(g):
-        _accumulate(ta, np.full(shape, float(g.reshape(())) * inv))
+        _accumulate(ta, np.broadcast_to((g * inv).reshape(expand), shape))
 
-    return _result(np.asarray(a.values.mean()), (ta,), grad_fn)
+    sums = np.add.reduce(a.values.reshape(shape[:lead] + (-1,)), axis=-1)
+    return _result(np.asarray(sums / n), (ta,), grad_fn)
 
 
 def total(a: Tensor) -> Tensor:
@@ -263,6 +361,24 @@ def total(a: Tensor) -> Tensor:
         _accumulate(ta, np.full(shape, float(g.reshape(()))))
 
     return _result(np.asarray(a.values.sum()), (ta,), grad_fn)
+
+
+def take(a: Tensor, index) -> Tensor:
+    """``a.values[index]`` along the first axis: one slice (an int) or a reorder (a list).
+
+    Backward writes the gradient into an array of -0.0, the additive identity
+    of IEEE addition (x + -0.0 == x for every x, zeros of both signs
+    included), so the gradients of slices taken apart add up to exactly the
+    gradient of the whole.
+    """
+    ta, shape = _target(a), a.shape
+
+    def grad_fn(g):
+        ga = np.full(shape, -0.0)
+        ga[index] = g
+        _accumulate(ta, ga)
+
+    return _result(a.values[index], (ta,), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -287,58 +403,76 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _result(np.where(positive, a.values, a.values * slope), (ta,), grad_fn)
 
 
-def glu(a: Tensor) -> Tensor:
-    """Gated linear unit along the channel (first) axis.
+def glu(a: Tensor, lead: int = 0) -> Tensor:
+    """Gated linear unit along the channel axis, the first after ``lead`` leading axes.
 
     The first half of the channels is gated by the sigmoid of the second
-    half; channel count must be even. The closure's view ``h`` keeps the
-    whole input array alive.
+    half; channel count must be even. When a graph is recorded the closure
+    keeps a copy of the first half, not a view, so the input array does not
+    outlive its other readers for the half backward never reads.
     """
-    c = a.shape[0]
+    if not 0 <= lead < a.values.ndim:
+        raise ValidationError(f"glu over {a.values.ndim} axes has no channel axis after {lead}")
+    c = a.shape[lead]
     if c % 2:
         raise ValidationError(f"glu needs an even channel count, got {c}")
-    ta, av = _target(a), a.values
-    h = av[: c // 2]
-    gate = np.negative(av[c // 2 :])  # 1 / (1 + exp(-x)), in one buffer
+    ta, shape = _target(a), a.shape
+    top = (slice(None),) * lead + (slice(None, c // 2),)
+    bottom = (slice(None),) * lead + (slice(c // 2, None),)
+    h = a.values[top]
+    gate = np.negative(a.values[bottom])  # 1 / (1 + exp(-x)), in one buffer
     np.exp(gate, out=gate)
     gate += 1.0
     np.divide(1.0, gate, out=gate)
 
     def grad_fn(g):
-        ga = np.empty_like(av)
-        top, bottom = ga[: c // 2], ga[c // 2 :]
-        np.multiply(g, h, out=bottom)  # g * h * gate * (1 - gate)
-        bottom *= gate
-        np.subtract(1.0, gate, out=top)
-        bottom *= top
-        np.multiply(g, gate, out=top)
+        ga = np.empty(shape)
+        ga_top, ga_bottom = ga[top], ga[bottom]
+        np.multiply(g, h, out=ga_bottom)  # g * h * gate * (1 - gate)
+        ga_bottom *= gate
+        np.subtract(1.0, gate, out=ga_top)
+        ga_bottom *= ga_top
+        np.multiply(g, gate, out=ga_top)
         _accumulate(ta, ga)
 
-    return _result(h * gate, (ta,), grad_fn)
+    out = _result(h * gate, (ta,), grad_fn)
+    if out._node is not None:
+        h = h.copy()  # rebinds the closure's cell
+    return out
 
 
 def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization over all non-channel axes, then affine.
+    """Per-channel normalization over all axes after the channel axis, then affine.
 
-    Works for both [C, F] and [C, H, W] inputs; gain/bias have shape [C].
+    Works for [C, F] and [C, H, W] samples; gain/bias have shape [C], or
+    [..., C] with the input's leading axes (one gain per stacked model).
     Means are ``np.add.reduce(...) / n``, which is what ``ndarray.mean``
     computes, and each step writes into a buffer this op owns. Backward
     reads ``x_hat``, ``inv_sigma`` and the gain, never the input.
     """
-    axes = tuple(range(1, a.values.ndim))
-    if gain.shape != (a.shape[0],) or bias.shape != (a.shape[0],):
-        raise ValidationError("gain/bias must be per-channel vectors")
+    channel = gain.values.ndim - 1
+    if (
+        channel < 0
+        or bias.shape != gain.shape
+        or a.shape[: channel + 1] != gain.shape
+        or a.values.ndim < channel + 2
+    ):
+        raise ValidationError(
+            f"gain/bias must be per-channel vectors over the input's leading axes, "
+            f"got {gain.shape}/{bias.shape} for input {a.shape}"
+        )
+    axes = tuple(range(channel + 1, a.values.ndim))
     ta, tg, tb, gv = _target(a), _target(gain), _target(bias), gain.values
-    n = a.values[0].size
+    n = math.prod(a.shape[channel + 1 :])
     mu = np.add.reduce(a.values, axis=axes, keepdims=True) / n
     x_hat = a.values - mu
     out = np.multiply(x_hat, x_hat)
     var = np.add.reduce(out, axis=axes, keepdims=True) / n
     inv_sigma = 1.0 / np.sqrt(var + eps)
     x_hat *= inv_sigma
-    expand = (slice(None),) + (None,) * (a.values.ndim - 1)
-    np.multiply(gv[expand], x_hat, out=out)
-    out += bias.values[expand]
+    expand = gain.shape + (1,) * len(axes)
+    np.multiply(gv.reshape(expand), x_hat, out=out)
+    out += bias.values.reshape(expand)
 
     def grad_fn(g):
         scratch = np.empty_like(g)
@@ -348,7 +482,7 @@ def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
         if tb.requires_grad:
             _accumulate(tb, np.add.reduce(g, axis=axes))
         if ta.requires_grad:
-            gg = g * gv[expand]
+            gg = g * gv.reshape(expand)
             mean_g = np.add.reduce(gg, axis=axes, keepdims=True) / n
             np.multiply(gg, x_hat, out=scratch)
             mean_gx = np.add.reduce(scratch, axis=axes, keepdims=True) / n
@@ -362,13 +496,16 @@ def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
 
 
 def add_leading_axis(a: Tensor) -> Tensor:
-    """View with a prepended singleton axis (e.g. [C, F] -> [1, C, F])."""
+    """View with a singleton axis before the two trailing ones ([C, F] -> [1, C, F]).
+
+    It makes a [..., C, F] feature map a one-channel image for conv2d.
+    """
     ta = _target(a)
 
     def grad_fn(g):
-        _accumulate(ta, g[0])
+        _accumulate(ta, g[..., 0, :, :])
 
-    return _result(a.values[None, ...], (ta,), grad_fn)
+    return _result(a.values[..., None, :, :], (ta,), grad_fn)
 
 
 def upsample2(a: Tensor) -> Tensor:
@@ -381,84 +518,132 @@ def upsample2(a: Tensor) -> Tensor:
     return _result(np.repeat(a.values, 2, axis=-1), (ta,), grad_fn)
 
 
+def _lead_shape(x: Tensor, x_rank: int, w: Tensor, w_rank: int, op: str) -> tuple:
+    """Broadcast leading axes of an input and a weight of the given per-sample ranks."""
+    if x.values.ndim < x_rank or w.values.ndim < w_rank:
+        raise ValidationError(
+            f"{op} needs an input of rank >= {x_rank} and a weight of rank >= {w_rank}, "
+            f"got {x.shape} and {w.shape}"
+        )
+    x_lead, w_lead = x.shape[: x.values.ndim - x_rank], w.shape[: w.values.ndim - w_rank]
+    if x_lead == w_lead:
+        return x_lead
+    try:
+        return np.broadcast_shapes(x_lead, w_lead)
+    except ValueError:
+        raise ValidationError(
+            f"{op} leading axes do not broadcast: input {x.shape}, weight {w.shape}"
+        ) from None
+
+
+def _samples(x_shape, x_rank: int, w_shape, w_rank: int) -> list:
+    """One index per sample sharing the weight: the input's leading axes the weight lacks.
+
+    A conv builds columns and takes products once per sample, each sample
+    with every model of a stacked weight. Columns of all samples in one
+    array would be several times the largest array of an unstacked call,
+    and arrays that large fragment the heap: with the four slices of the
+    D-step in one array, the peak RSS of ``train-desk`` rose by about 3 MB.
+    """
+    extra = (len(x_shape) - x_rank) - (len(w_shape) - w_rank)
+    return list(itertools.product(*map(range, x_shape[: max(extra, 0)])))
+
+
+def _weight_grad(tw, g2: np.ndarray, cols: np.ndarray, w2_shape, w_shape) -> None:
+    """Accumulate one sample's ``g2 @ cols.T`` into a conv weight, as a separate call would."""
+    gw = _unbroadcast(g2 @ cols.swapaxes(-1, -2), w2_shape)
+    _accumulate(tw, gw.reshape(w_shape), owned=True)
+
+
 def _im2col1d(values: np.ndarray, k: int, stride: int, padding: int, f_out: int) -> np.ndarray:
-    """Columns [Cin * K, F_out] of a zero-padded [Cin, F] input."""
-    c_in, frames = values.shape
-    xp = np.zeros((c_in, frames + 2 * padding))
-    xp[:, padding : padding + frames] = values
-    cols = np.empty((c_in, k, f_out))
+    """Columns [..., Cin * K, F_out] of a zero-padded [..., Cin, F] input."""
+    *lead, c_in, frames = values.shape
+    xp = np.zeros((*lead, c_in, frames + 2 * padding))
+    xp[..., padding : padding + frames] = values
+    cols = np.empty((*lead, c_in, k, f_out))
     span = (f_out - 1) * stride + 1
     for j in range(k):
-        cols[:, j, :] = xp[:, j : j + span : stride]
-    return cols.reshape(c_in * k, f_out)
+        cols[..., j, :] = xp[..., j : j + span : stride]
+    return cols.reshape(*lead, c_in * k, f_out)
 
 
 def _im2col2d(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int, w_out: int):
-    """Columns [Cin * KH * KW, H_out * W_out] of a zero-padded [Cin, H, W] input."""
-    c_in, h, wd = values.shape
+    """Columns [..., Cin * KH * KW, H_out * W_out] of a zero-padded [..., Cin, H, W] input."""
+    *lead, c_in, h, wd = values.shape
     sh, sw = stride
     ph, pw = padding
-    xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw))
-    xp[:, ph : ph + h, pw : pw + wd] = values
-    cols = np.empty((c_in, kh, kw, h_out, w_out))
+    xp = np.zeros((*lead, c_in, h + 2 * ph, wd + 2 * pw))
+    xp[..., ph : ph + h, pw : pw + wd] = values
+    cols = np.empty((*lead, c_in, kh, kw, h_out, w_out))
     span_h = (h_out - 1) * sh + 1
     span_w = (w_out - 1) * sw + 1
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + span_h : sh, j : j + span_w : sw]
-    return cols.reshape(c_in * kh * kw, h_out * w_out)
+            cols[..., i, j, :, :] = xp[..., i : i + span_h : sh, j : j + span_w : sw]
+    return cols.reshape(*lead, c_in * kh * kw, h_out * w_out)
 
 
 def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution: x [Cin, F], w [Cout, Cin, K], b [Cout] or None.
+    """1-D convolution: x [..., Cin, F], w [..., Cout, Cin, K], b [..., Cout] or None.
 
     Pass ``b=None`` for bias-free convolutions (used before norm layers,
     where a bias would be structurally redundant). Backward rebuilds the
     im2col columns from the input array instead of keeping a K-fold copy
     of the input alive in the graph.
     """
-    c_in, frames = x.shape
-    c_out, c_in_w, k = w.shape
+    lead = _lead_shape(x, 2, w, 3, "conv1d")
+    c_in, frames = x.shape[-2:]
+    c_out, c_in_w, k = w.shape[-3:]
     if c_in_w != c_in:
         raise ValidationError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
     f_pad = frames + 2 * padding
     f_out = (f_pad - k) // stride + 1
     if f_out < 1:
         raise ValidationError(f"conv1d output would be empty (frames={frames}, k={k})")
-    xv, w2 = x.values, w.values.reshape(c_out, c_in * k)
-    y = w2 @ _im2col1d(xv, k, stride, padding, f_out)
+    x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
+    samples = _samples(x_shape, 2, w_shape, 3)
+    xv, w2 = x.values, w.values.reshape(w_shape[:-3] + (c_out, c_in * k))
+    y = np.empty(lead + (c_out, f_out))
+    for index in samples:
+        np.matmul(w2, _im2col1d(xv[index], k, stride, padding, f_out), out=y[index])
     if b is not None:
-        y += b.values[:, None]
+        y += b.values[..., None]
     tx, tw, tb = _target(x), _target(w), None if b is None else _target(b)
 
     def grad_fn(g):
         # Frozen weights (requires_grad off) cost no gradient matmul.
-        if tw.requires_grad:
-            cols = _im2col1d(xv, k, stride, padding, f_out)
-            _accumulate(tw, (g @ cols.T).reshape(c_out, c_in, k))
+        for index in samples if tw.requires_grad else ():
+            cols = _im2col1d(xv[index], k, stride, padding, f_out)
+            _weight_grad(tw, g[index], cols, w2.shape, w_shape)
+            del cols  # before the input gradient's columns exist
         if tb is not None and tb.requires_grad:
-            _accumulate(tb, g.sum(axis=1))
+            _accumulate(tb, _unbroadcast(g.sum(axis=-1), b_shape))
         if tx.requires_grad:
-            gcols = (w2.T @ g).reshape(c_in, k, f_out)
-            gxp = np.zeros((c_in, f_pad))
+            gxp = np.zeros(lead + (c_in, f_pad))
             span = (f_out - 1) * stride + 1
-            for j in range(k):
-                gxp[:, j : j + span : stride] += gcols[:, j, :]
-            _accumulate(tx, gxp[:, padding : padding + frames])
+            for index in samples:
+                part = gxp[index]
+                gcols = (w2.swapaxes(-1, -2) @ g[index]).reshape(part.shape[:-2] + (c_in, k, f_out))
+                for j in range(k):
+                    part[..., j : j + span : stride] += gcols[..., j, :]
+            _accumulate(tx, _unbroadcast(gxp[..., padding : padding + frames], x_shape))
 
     return _result(y, (tx, tw) if tb is None else (tx, tw, tb), grad_fn)
 
 
 def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D convolution: x [Cin, H, W], w [Cout, Cin, KH, KW], b [Cout] or None.
+    """2-D convolution: x [..., Cin, H, W], w [..., Cout, Cin, KH, KW], b [..., Cout] or None.
 
     The im2col columns stay in the graph only when the weight requires grad
     at forward time, and then the input array does not; otherwise the input
     array stays, so a weight unfrozen after the forward gets its columns
-    rebuilt from it in backward.
+    rebuilt from it in backward. Backward drops each sample's columns once
+    its weight gradient is taken, before the input gradient's columns of
+    the same size exist.
     """
-    c_in, h, wd = x.shape
-    c_out, c_in_w, kh, kw = w.shape
+    lead = _lead_shape(x, 3, w, 4, "conv2d")
+    c_in, h, wd = x.shape[-3:]
+    c_out, c_in_w, kh, kw = w.shape[-4:]
     if c_in_w != c_in:
         raise ValidationError(f"conv2d channel mismatch: input {c_in}, weight {c_in_w}")
     sh, sw = stride
@@ -470,34 +655,47 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
         raise ValidationError(
             f"conv2d output would be empty (input {h}x{wd}, kernel {kh}x{kw})"
         )
-    xv, w2 = x.values, w.values.reshape(c_out, c_in * kh * kw)
-    cols2 = _im2col2d(xv, kh, kw, stride, padding, h_out, w_out)
-    y = (w2 @ cols2).reshape(c_out, h_out, w_out)
+    x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
+    samples = _samples(x_shape, 3, w_shape, 4)
+    xv, w2 = x.values, w.values.reshape(w_shape[:-4] + (c_out, c_in * kh * kw))
+    y = np.empty(lead + (c_out, h_out * w_out))
+    cols = []
+    for index in samples:
+        cols.append(_im2col2d(xv[index], kh, kw, stride, padding, h_out, w_out))
+        np.matmul(w2, cols[-1], out=y[index])
+    y = y.reshape(lead + (c_out, h_out, w_out))
     if b is not None:
-        y += b.values[:, None, None]
+        y += b.values[..., None, None]
     tx, tw, tb = _target(x), _target(w), None if b is None else _target(b)
     kept = None
     if tw.requires_grad:
-        kept, xv = cols2, None  # backward reads the columns, not the input
+        kept, xv = cols, None  # backward reads the columns, not the input
 
     def grad_fn(g):
-        g2 = g.reshape(c_out, h_out * w_out)
-        if tw.requires_grad:
-            cols = kept if kept is not None else _im2col2d(
-                xv, kh, kw, stride, padding, h_out, w_out
-            )
-            _accumulate(tw, (g2 @ cols.T).reshape(c_out, c_in, kh, kw))
+        g2 = g.reshape(lead + (c_out, h_out * w_out))
+        for n, index in enumerate(samples if tw.requires_grad else ()):
+            if kept is None:
+                part = _im2col2d(xv[index], kh, kw, stride, padding, h_out, w_out)
+            else:
+                part, kept[n] = kept[n], None
+            _weight_grad(tw, g2[index], part, w2.shape, w_shape)
+            del part
         if tb is not None and tb.requires_grad:
-            _accumulate(tb, g2.sum(axis=1))
+            _accumulate(tb, _unbroadcast(g2.sum(axis=-1), b_shape))
         if tx.requires_grad:
-            gcols = (w2.T @ g2).reshape(c_in, kh, kw, h_out, w_out)
-            gxp = np.zeros((c_in, h_pad, w_pad))
+            gxp = np.zeros(lead + (c_in, h_pad, w_pad))
             span_h = (h_out - 1) * sh + 1
             span_w = (w_out - 1) * sw + 1
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i : i + span_h : sh, j : j + span_w : sw] += gcols[:, i, j]
-            _accumulate(tx, gxp[:, ph : ph + h, pw : pw + wd])
+            for index in samples:
+                part = gxp[index]
+                gcols = (w2.swapaxes(-1, -2) @ g2[index]).reshape(
+                    part.shape[:-3] + (c_in, kh, kw, h_out, w_out)
+                )
+                for i in range(kh):
+                    for j in range(kw):
+                        tap = part[..., i : i + span_h : sh, j : j + span_w : sw]
+                        tap += gcols[..., i, j, :, :]
+            _accumulate(tx, _unbroadcast(gxp[..., ph : ph + h, pw : pw + wd], x_shape))
 
     return _result(y, (tx, tw) if tb is None else (tx, tw, tb), grad_fn)
 

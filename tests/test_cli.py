@@ -452,6 +452,57 @@ class TestMalformedJson:
         assert "lg_stats.json" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"[\xff]"  # a byte that no UTF-8 text holds
+
+
+class TestNonUtf8Json:
+    """JSON that is not UTF-8 fails like invalid JSON beside it, not with a traceback."""
+
+    def test_preprocess_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(NOT_UTF8)
+        assert main(["preprocess", "--manifest", str(manifest)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_train_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(NOT_UTF8)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(NOT_UTF8)
+        rc = main(["synth-corpus", "--out", str(tmp_path / "corpus"), "--seed", "3",
+                   "--synth-spec", str(spec)])
+        assert rc == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_lg_stats(self, tiny_config, trained, tmp_path, capsys):
+        bad = tmp_path / "base"
+        shutil.copytree(trained[2], bad)
+        (bad / "lg_stats.json").write_bytes(NOT_UTF8)
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "baseline",
+            "--baseline-ckpt", str(bad), "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "lg_stats.json: invalid JSON" in capsys.readouterr().err
+
+    def test_checkpoint_metadata(self, tiny_config, trained, tmp_path, capsys):
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "pros"
+        shutil.copytree(pros_dir, bad)
+        (bad / "metadata.json").write_bytes(NOT_UTF8)
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(bad),
+            "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "metadata.json: invalid JSON" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_self_evaluation_perfect(self, tiny_corpus, tmp_path, capsys):
         ref_dir = tmp_path / "ref"

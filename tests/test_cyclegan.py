@@ -12,7 +12,6 @@ from prosodia.cyclegan import (
     TrainSchedule,
     adversarial_loss,
     build_model,
-    convert_features,
     convert_utterance,
     cycle_loss,
     identity_loss,
@@ -20,12 +19,14 @@ from prosodia.cyclegan import (
     save_model_checkpoint,
     train,
 )
-from prosodia.cyclegan.losses import GENERATOR_SIDE
+from prosodia.cyclegan.losses import DISCRIMINATOR_SIDE, GENERATOR_SIDE
 from prosodia.cyclegan.model import FeatureStats
 from prosodia.cyclegan.train import LossLog, _sample_segment
 from prosodia.features import UtteranceFeatures
 from prosodia.nn import (
+    AdamState,
     Tensor,
+    adam_step,
     backward,
     forward_discriminator,
     forward_generator,
@@ -33,7 +34,7 @@ from prosodia.nn import (
     save_params,
 )
 from prosodia.nn.network import ParamStore
-from prosodia.nn.tensor import add, add_leading_axis
+from prosodia.nn.tensor import add, add_leading_axis, scale
 from prosodia.prosody import NormStats, WaveletParams
 
 rng = np.random.default_rng(7)
@@ -165,7 +166,8 @@ class TestTraining:
         calls = []
 
         def counting(*args):
-            calls.append(args)
+            # One generator pass per slice: a stacked call runs several.
+            calls.extend([args] * int(np.prod(args[2].shape[:-2])))
             return real(*args)
 
         monkeypatch.setattr(module, "forward_generator", counting)
@@ -173,6 +175,40 @@ class TestTraining:
         weights = LossWeights(id_cutoff_iters=id_cutoff)
         train(tiny_model(seed=12), xs, ys, weights, tiny_schedule(total=3))
         assert len(calls) == 3 * forwards
+
+    @pytest.mark.parametrize("id_cutoff, generator_calls", [(100, 3), (0, 2)])
+    def test_stacked_calls_per_iteration(self, monkeypatch, id_cutoff, generator_calls):
+        module = importlib.import_module("prosodia.cyclegan.train")
+        calls = {"forward_generator": 0, "forward_discriminator": 0}
+        for name in calls:
+            def counting(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+        weights = LossWeights(id_cutoff_iters=id_cutoff)
+        train(tiny_model(seed=12), xs, ys, weights, tiny_schedule(total=3))
+        assert calls == {
+            "forward_generator": 3 * generator_calls, "forward_discriminator": 3 * 2
+        }
+
+    def test_matches_one_call_per_direction_bitwise(self):
+        """Stacked calls give the loss log and parameters of the unstacked loop.
+
+        The reference below runs every generator and discriminator on its own,
+        as train() did before it stacked them, with the identity loss on for
+        the first half of the iterations.
+        """
+        def run(train_fn):
+            model = tiny_model(seed=13)
+            xs, ys = tiny_feature_sets(10, seed=14), tiny_feature_sets(10, seed=15)
+            weights = LossWeights(lambda_cyc=10, lambda_id=5, id_cutoff_iters=4)
+            _, log = train_fn(model, xs, ys, weights, tiny_schedule(total=8, seed=16))
+            return log.rows, {key: {name: p.values.tobytes() for name, p in store}
+                              for key, store in model.stores().items()}
+
+        assert run(train) == run(_train_one_call_per_direction)
 
     def test_frozen_discriminators_leave_generator_gradients_unchanged(self):
         def g_step_gradients(freeze):
@@ -261,6 +297,63 @@ class TestTraining:
         np.testing.assert_allclose(np.asarray(back.rows), np.asarray(log.rows), rtol=1e-10)
 
 
+def _train_one_call_per_direction(model, source_set, target_set, weights, schedule):
+    """The training loop with one network call per direction and sample."""
+    xs = [np.asarray(f, dtype=np.float64) for f in source_set]
+    ys = [np.asarray(f, dtype=np.float64) for f in target_set]
+    stats = model.feature_stats = FeatureStats.fit(xs, ys)
+    r = np.random.default_rng(schedule.seed)
+    opt = {key: AdamState.for_params(store) for key, store in model.stores().items()}
+    gen, disc = model.gen_config, model.disc_config
+    d_params = [p for store in (model.d_x, model.d_y) for _, p in store]
+
+    def d_scores(store, feature_map):
+        t = feature_map if isinstance(feature_map, Tensor) else Tensor(feature_map[None])
+        return forward_discriminator(store, disc, t)
+
+    rows = []
+    for t in range(1, schedule.total_iters + 1):
+        x_seg = stats.standardize(_sample_segment(xs, r, schedule.segment_frames), "x")
+        y_seg = stats.standardize(_sample_segment(ys, r, schedule.segment_frames), "y")
+        lr_g = schedule.learning_rate(schedule.lr_g, t)
+        lr_d = schedule.learning_rate(schedule.lr_d, t)
+        x_t, y_t = Tensor(x_seg), Tensor(y_seg)
+        fake_y = forward_generator(model.g_xy, gen, x_t)
+        fake_x = forward_generator(model.g_yx, gen, y_t)
+        d_loss = add(
+            adversarial_loss(d_scores(model.d_y, y_seg), d_scores(model.d_y, fake_y.values),
+                             DISCRIMINATOR_SIDE),
+            adversarial_loss(d_scores(model.d_x, x_seg), d_scores(model.d_x, fake_x.values),
+                             DISCRIMINATOR_SIDE),
+        )
+        backward(d_loss)
+        adam_step(model.d_x, opt["d_x"], lr_d)
+        adam_step(model.d_y, opt["d_y"], lr_d)
+        for p in d_params:
+            p.requires_grad = False
+        cycled_x = forward_generator(model.g_yx, gen, fake_y)
+        cycled_y = forward_generator(model.g_xy, gen, fake_x)
+        adv_g = add(
+            adversarial_loss(None, d_scores(model.d_y, add_leading_axis(fake_y)), GENERATOR_SIDE),
+            adversarial_loss(None, d_scores(model.d_x, add_leading_axis(fake_x)), GENERATOR_SIDE),
+        )
+        cyc = cycle_loss(x_t, cycled_x, y_t, cycled_y)
+        g_loss = add(adv_g, scale(cyc, weights.lambda_cyc))
+        id_value = 0.0
+        if t < weights.id_cutoff_iters:
+            ident = identity_loss(x_t, forward_generator(model.g_yx, gen, x_t),
+                                  y_t, forward_generator(model.g_xy, gen, y_t))
+            g_loss = add(g_loss, scale(ident, weights.lambda_id))
+            id_value = ident.item()
+        backward(g_loss)
+        adam_step(model.g_xy, opt["g_xy"], lr_g)
+        adam_step(model.g_yx, opt["g_yx"], lr_g)
+        for p in d_params:
+            p.requires_grad = True
+        rows.append((t, lr_g, adv_g.item(), d_loss.item(), cyc.item(), id_value))
+    return model, LossLog(rows=rows)
+
+
 def smooth_signals(r, channels, frames, count):
     """Rank-one smooth feature maps: channels are scaled copies of one latent."""
     t = np.arange(frames)
@@ -299,24 +392,24 @@ class TestConvertFeatures:
         model = tiny_model(seed=2)
         feats = rng.normal(0, 1, (10, 37))
         copy = feats.copy()
-        out = convert_features(model, feats, "forward")
+        out = model.convert(feats, "forward")
         assert out.shape == (10, 37)
         np.testing.assert_array_equal(feats, copy)
 
     def test_single_frame_input(self):
         model = tiny_model(seed=2)
-        out = convert_features(model, rng.normal(0, 1, (10, 1)), "forward")
+        out = model.convert(rng.normal(0, 1, (10, 1)), "forward")
         assert out.shape == (10, 1)
 
     def test_bad_direction_rejected(self):
         model = tiny_model()
         with pytest.raises(ValidationError):
-            convert_features(model, np.zeros((10, 8)), "sideways")
+            model.convert(np.zeros((10, 8)), "sideways")
 
     def test_channel_mismatch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValidationError):
-            convert_features(model, np.zeros((24, 8)), "forward")
+            model.convert(np.zeros((24, 8)), "forward")
 
 
 class _IdentityModel:

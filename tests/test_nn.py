@@ -25,6 +25,7 @@ from prosodia.nn.network import ParamStore, param_layout
 from prosodia.nn.tensor import (
     absolute,
     add,
+    add_leading_axis,
     conv1d,
     conv2d,
     glu,
@@ -34,7 +35,9 @@ from prosodia.nn.tensor import (
     mean,
     mul,
     square,
+    stack_leaves,
     sub,
+    take,
     total,
     upsample2,
 )
@@ -518,6 +521,14 @@ class TestGraphHoldsOnlyWhatBackwardReads:
         out = conv1d(x, w, b, stride=1, padding=2)
         assert all(a.size <= x.values.size for a in _closure_arrays(out))
 
+    def test_glu_closure_holds_no_array_larger_than_half_its_input(self):
+        # A view counts as the array it keeps alive: a view of the input's
+        # first half would keep the whole input in the graph.
+        local = np.random.default_rng(52)
+        x = Tensor(local.normal(0, 1, (8, 30)), requires_grad=True)
+        held = [a if a.base is None else a.base for a in _closure_arrays(glu(x))]
+        assert held and all(a.size <= x.values.size // 2 for a in held)
+
     def test_frozen_conv2d_closure_holds_no_array_larger_than_input(self):
         local = np.random.default_rng(42)
         x = Tensor(local.normal(0, 1, (1, 8, 16)), requires_grad=True)
@@ -594,3 +605,164 @@ class TestGraphHoldsOnlyWhatBackwardReads:
         expected_out, expected_grad = _reference_glu(x, g)
         assert _same_bits(out.values, expected_out)
         assert _same_bits(p.grad, expected_grad)
+
+
+def _check_per_slice(build, arrays, n_lead=2, seed=0):
+    """``build(tensors, n_lead)`` on stacked arrays gives every slice's unstacked bits.
+
+    The stacked call and one call per slice of the leading axes each get a
+    random output gradient; values and the gradients of every input must
+    match slice by slice, bit for bit.
+    """
+    stacked = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(stacked, n_lead)
+    g = np.random.default_rng(seed).normal(0, 1, out.shape)
+    _pull(out, g)
+    for index in np.ndindex(*arrays[0].shape[:n_lead]):
+        parts = [Tensor(a[index], requires_grad=True) for a in arrays]
+        part_out = build(parts, 0)
+        _pull(part_out, g[index])
+        assert _same_bits(out.values[index], part_out.values)
+        for whole, part in zip(stacked, parts):
+            assert _same_bits(whole.grad[index], part.grad)
+
+
+def _conv_case(op, local, lead=(2, 2), weight_lead=(2, 2)):
+    """Input, weight and bias arrays of a small conv with the given leading axes."""
+    if op == "conv1d":
+        return (local.normal(0, 1, lead + (3, 12)), local.normal(0, 0.5, weight_lead + (4, 3, 3)),
+                local.normal(0, 0.5, weight_lead + (4,)))
+    return (local.normal(0, 1, lead + (1, 6, 8)), local.normal(0, 0.5, weight_lead + (2, 1, 3, 4)),
+            local.normal(0, 0.5, weight_lead + (2,)))
+
+
+def _conv(op, x, w, b):
+    if op == "conv1d":
+        return conv1d(x, w, b, stride=2, padding=1)
+    return conv2d(x, w, b, (2, 2), (1, 1))
+
+
+class TestStackedCalls:
+    """Ops over leading axes [2, 2, ...] give each slice the bits of an unstacked call."""
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
+    def test_conv_per_slice_weights(self, op):
+        arrays = _conv_case(op, np.random.default_rng(60))
+        _check_per_slice(lambda t, n: _conv(op, *t), arrays, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, shapes",
+        [
+            ("norm1d", [(2, 2, 4, 10), (2, 2, 4), (2, 2, 4)]),
+            ("norm2d", [(2, 2, 4, 3, 5), (2, 2, 4), (2, 2, 4)]),
+            ("glu", [(2, 2, 6, 10)]),
+            ("leaky_relu", [(2, 2, 3, 7)]),
+            ("upsample", [(2, 2, 3, 7)]),
+            ("add", [(2, 2, 3, 7), (2, 2, 3, 7)]),
+            ("add_leading_axis", [(2, 2, 3, 7)]),
+            ("mean", [(2, 2, 3, 7)]),
+        ],
+    )
+    def test_op_per_slice(self, name, shapes):
+        local = np.random.default_rng(61)
+        arrays = [local.normal(1.0, 1.0, shape) for shape in shapes]
+        builders = {
+            "norm1d": lambda t, n: instance_norm(*t),
+            "norm2d": lambda t, n: instance_norm(*t),
+            "glu": lambda t, n: glu(t[0], n),
+            "leaky_relu": lambda t, n: leaky_relu(t[0], 0.2),
+            "upsample": lambda t, n: upsample2(t[0]),
+            "add": lambda t, n: add(*t),
+            "add_leading_axis": lambda t, n: add_leading_axis(t[0]),
+            "mean": lambda t, n: mean(t[0], n),
+        }
+        _check_per_slice(builders[name], arrays, seed=2)
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
+    @pytest.mark.parametrize("weights", ["trainable", "frozen", "unfrozen_after_forward"])
+    def test_stacked_weights_shared_by_samples(self, op, weights):
+        """Inputs [2 samples, 2 models, ...] against ``stack_leaves`` weights [2 models, ...].
+
+        Each model's leaves get the sum over samples of what per-slice calls
+        give them, in sample order, and each input slice its own gradient.
+        """
+        local = np.random.default_rng(62)
+        x, w, b = _conv_case(op, local, weight_lead=(2,))
+        g = None
+
+        def leaves(frozen):
+            return ([Tensor(v.copy(), requires_grad=not frozen) for v in w],
+                    [Tensor(v.copy(), requires_grad=not frozen) for v in b])
+
+        frozen = weights != "trainable"
+        w_leaves, b_leaves = leaves(frozen)
+        stacked_x = Tensor(x, requires_grad=True)
+        out = _conv(op, stacked_x, stack_leaves(w_leaves), stack_leaves(b_leaves))
+        if weights == "unfrozen_after_forward":
+            for leaf in w_leaves + b_leaves:
+                leaf.requires_grad = True
+        g = local.normal(0, 1, out.shape)
+        _pull(out, g)
+
+        ref_w, ref_b = leaves(weights == "frozen")
+        for s in range(2):
+            for m in range(2):
+                part_x = Tensor(x[s, m], requires_grad=True)
+                part_out = _conv(op, part_x, ref_w[m], ref_b[m])
+                _pull(part_out, g[s, m])
+                assert _same_bits(out.values[s, m], part_out.values)
+                assert _same_bits(stacked_x.grad[s, m], part_x.grad)
+        for leaf, ref in zip(w_leaves + b_leaves, ref_w + ref_b):
+            assert (leaf.grad is None) == (weights == "frozen")
+            assert leaf.grad is None or _same_bits(leaf.grad, ref.grad)
+
+    def test_stack_leaves_shares_and_keeps_one_buffer(self):
+        local = np.random.default_rng(63)
+        a, b = (Tensor(local.normal(0, 1, (3, 4)), requires_grad=True) for _ in range(2))
+        before = np.stack((a.values, b.values))
+        stacked = stack_leaves((a, b))
+        assert _same_bits(stacked.values, before)
+        a.values += 1.0  # an in-place update of a leaf is one of the buffer
+        assert _same_bits(stacked.values[0], before[0] + 1.0)
+        assert stack_leaves((a, b)).values is stacked.values
+        assert stack_leaves((b, a)).values is not stacked.values
+        with pytest.raises(ValidationError):
+            stack_leaves((a, Tensor(np.zeros(3))))
+
+    def test_take_gradients_add_up_exactly(self):
+        # -0.0 fills the untaken slices, so even zeros of either sign survive.
+        values = np.array([[0.5, -1.5], [2.0, 3.0]])
+        g0, g1 = np.array([-0.0, 0.25]), np.array([0.0, -0.0])
+        p = Tensor(values, requires_grad=True)
+        _pull(add(mul(take(p, 0), Tensor(np.ones(2))), take(p, 1)), np.ones(2))
+        assert _same_bits(p.grad, np.ones((2, 2)))
+        q = Tensor(values, requires_grad=True)
+        backward(add(total(mul(take(q, 0), Tensor(g0))), total(mul(take(q, 1), Tensor(g1)))))
+        assert _same_bits(q.grad, np.stack((g0, g1)))
+        swapped = Tensor(values, requires_grad=True)
+        out = take(swapped, [1, 0])
+        assert _same_bits(out.values, values[::-1])
+        _pull(out, values)
+        assert _same_bits(swapped.grad, values[::-1])
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d", "instance_norm"])
+    def test_stacked_gradcheck(self, op):
+        local = np.random.default_rng(64)
+        if op == "instance_norm":
+            x = Tensor(local.normal(0, 1, (2, 4, 6)), requires_grad=True)
+            gains = [Tensor(1.0 + 0.1 * local.normal(size=4), requires_grad=True) for _ in range(2)]
+            biases = [Tensor(0.1 * local.normal(size=4), requires_grad=True) for _ in range(2)]
+            gain, bias = stack_leaves(gains), stack_leaves(biases)
+            target = Tensor(local.normal(0, 1, (2, 4, 6)))
+            loss = lambda: mean(square(sub(instance_norm(x, gain, bias), target)))  # noqa: E731
+            params = _store(x=x, g0=gains[0], g1=gains[1], b0=biases[0], b1=biases[1])
+        else:
+            x_v, w_v, b_v = _conv_case(op, local, weight_lead=(2,))
+            x = Tensor(x_v, requires_grad=True)
+            ws = [Tensor(v.copy(), requires_grad=True) for v in w_v]
+            bs = [Tensor(v.copy(), requires_grad=True) for v in b_v]
+            w, b = stack_leaves(ws), stack_leaves(bs)
+            loss = lambda: mean(square(_conv(op, x, w, b)))  # noqa: E731
+            params = _store(x=x, w0=ws[0], w1=ws[1], b0=bs[0], b1=bs[1])
+        err = finite_diff_check(loss, params, h=1e-6, n_probe=12, seed=5)
+        assert err < 1e-5
