@@ -33,8 +33,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-COMPARE_SYSTEMS = ("baseline", "joint", "separate")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("PROSODIA_LOG", "info").lower()
@@ -254,21 +252,11 @@ def cmd_convert(args) -> int:
         inputs = [src for src, _ in split.eval_pairs]
         if not inputs:
             raise ValidationError("no eval sources in split and no --inputs given")
-    mode = config.mode
-    if mode in (MODE_SPECTRUM, MODE_PROSODY):
-        mode = "separate"
-        if not (args.spectrum_ckpt and args.prosody_ckpt):
-            raise ValidationError(
-                "separate conversion requires --spectrum-ckpt and --prosody-ckpt"
-            )
-    if mode == MODE_JOINT and not args.joint_ckpt:
-        raise ValidationError("joint conversion requires --joint-ckpt")
-    if mode == MODE_BASELINE and not args.baseline_ckpt:
-        raise ValidationError("baseline conversion requires --baseline-ckpt")
+    system = "separate" if config.mode in (MODE_SPECTRUM, MODE_PROSODY) else config.mode
     pipeline.convert_directory(
         inputs,
         args.out,
-        mode=mode,
+        mode=system,
         stats_policy=config.stats_policy,
         spectrum_ckpt=args.spectrum_ckpt,
         prosody_ckpt=args.prosody_ckpt,
@@ -317,7 +305,7 @@ def cmd_compare(args) -> int:
             pair_name = f"{source}2{target}"
             pair_dir = out / pair_name
             results = _run_pair(pair_config, pair_dir)
-            for system in COMPARE_SYSTEMS:
+            for system in pipeline.SYSTEMS:
                 rows.append((f"{source}->{target}", system, results[system]))
         _write_compare_outputs(out, rows)
     print((out / "comparison.txt").read_text(encoding="utf-8"), end="")
@@ -357,26 +345,16 @@ def _run_pair(config: RunConfig, pair_dir: Path) -> dict:
         pipeline.train_baseline(config, split, pdir / "baseline")
 
         results = {}
-        ckpts = {
-            "baseline": dict(
-                mode=MODE_BASELINE,
-                baseline_ckpt=pdir / "baseline",
-                spectrum_ckpt=pdir / "spectrum",
-            ),
-            "joint": dict(mode=MODE_JOINT, joint_ckpt=pdir / "joint"),
-            "separate": dict(
-                mode="separate",
-                spectrum_ckpt=pdir / "spectrum",
-                prosody_ckpt=pdir / "prosody",
-            ),
-        }
-        for system, kwargs in ckpts.items():
+        # every system takes the checkpoints it needs from the same four
+        ckpts = {f"{n}_ckpt": pdir / n for n in ("spectrum", "prosody", "joint", "baseline")}
+        for system in pipeline.SYSTEMS:
             try:
                 converted = pipeline.convert_directory(
                     eval_sources,
                     pair_dir / f"converted_{system}",
+                    mode=system,
                     stats_policy=config.stats_policy,
-                    **kwargs,
+                    **ckpts,
                 )
                 report = evaluate_pairs(converted, eval_targets, align=config.align)
                 write_report_csv(report, pair_dir / f"report_{system}.csv")
@@ -398,7 +376,7 @@ def _write_compare_outputs(out: Path, rows: list) -> None:
                 f"{pair},{system},{cells[0]:.9g},{cells[1]:.9g},{cells[2]:.9g}"
             )
             by_system.setdefault(system, []).append(cells)
-    for system in COMPARE_SYSTEMS:
+    for system in pipeline.SYSTEMS:
         cells = by_system.get(system)
         if cells:
             means = np.mean(np.asarray(cells), axis=0)

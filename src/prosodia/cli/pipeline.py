@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from prosodia.prosody import (
 log = logging.getLogger("prosodia")
 
 LG_STATS_FILE = "lg_stats.json"
+SYSTEMS = (MODE_BASELINE, MODE_JOINT, "separate")
 CWT_CACHE_MAGIC = b"CWT1"
 _LADDER_CODES = {"octave": 0, "dj": 1}
 _LADDER_NAMES = {v: k for k, v in _LADDER_CODES.items()}
@@ -174,67 +176,81 @@ def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats, str]:
         raise FormatError(f"{path}: malformed statistics ({err})") from err
 
 
-def convert_with_models(
-    utt: UtteranceFeatures,
+def load_system(
+    system: str,
     *,
-    mode: str,
     stats_policy: str,
     spectrum_ckpt=None,
     prosody_ckpt=None,
     joint_ckpt=None,
     baseline_ckpt=None,
-) -> UtteranceFeatures:
-    """Convert one utterance according to the requested system."""
-    if mode == MODE_BASELINE:
-        src_stats, tgt_stats, emotion = load_lg_stats(baseline_ckpt)
-        f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), src_stats, tgt_stats)
+):
+    """Load and check one system's checkpoints once; returns its per-utterance conversion.
+
+    baseline needs ``baseline_ckpt`` (``spectrum_ckpt`` also maps its MCEPs),
+    joint ``joint_ckpt``, separate ``spectrum_ckpt`` and ``prosody_ckpt``.
+    """
+    if system == MODE_BASELINE:
+        src_stats, tgt_stats, emotion = load_lg_stats(
+            _required(baseline_ckpt, "--baseline-ckpt", system)
+        )
+        spectrum = None
         if spectrum_ckpt is not None:
-            loaded = load_model_checkpoint(spectrum_ckpt)
-            _require_mode(loaded.model.mode, MODE_SPECTRUM, spectrum_ckpt)
-            mceps = loaded.model.convert(np.asarray(utt.mceps, dtype=np.float64))
-            emotion = loaded.stats.target_emotion
-        else:
-            mceps = utt.mceps
-        return UtteranceFeatures(
-            utterance_id=utt.utterance_id,
-            emotion_label=emotion,
-            frame_period_ms=utt.frame_period_ms,
-            mceps=np.asarray(mceps, dtype=np.float32),
-            f0_hz=f0.astype(np.float32),
+            spectrum = _load_checked(
+                spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system, emotion
+            )
+
+        def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
+            f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), src_stats, tgt_stats)
+            mceps = utt.mceps if spectrum is None else spectrum.model.convert(utt.mceps)
+            return replace(utt, emotion_label=emotion, mceps=mceps, f0_hz=f0)
+
+        return convert
+    # f0_ckpt: the checkpoint that maps F0, whose wavelet and target stats conversion uses
+    if system == MODE_JOINT:
+        f0_ckpt = _load_checked(joint_ckpt, MODE_JOINT, "--joint-ckpt", system)
+        models = dict(joint_model=f0_ckpt.model)
+    elif system == "separate":
+        spectrum = _load_checked(spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system)
+        f0_ckpt = _load_checked(
+            prosody_ckpt, MODE_PROSODY, "--prosody-ckpt", system, spectrum.stats.target_emotion
         )
-    if mode == MODE_JOINT:
-        loaded = load_model_checkpoint(joint_ckpt)
-        _require_mode(loaded.model.mode, MODE_JOINT, joint_ckpt)
+        models = dict(spectrum_model=spectrum.model, prosody_model=f0_ckpt.model)
+    else:
+        raise ValidationError(f"unknown conversion system {system!r}, expected one of {SYSTEMS}")
+
+    def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
         return convert_utterance(
             utt,
-            joint_model=loaded.model,
-            wavelet=loaded.wavelet,
-            target_stats=loaded.stats.target_log_f0,
+            wavelet=f0_ckpt.wavelet,
+            target_stats=f0_ckpt.stats.target_log_f0,
             stats_policy=stats_policy,
-            emotion_label=loaded.stats.target_emotion,
+            emotion_label=f0_ckpt.stats.target_emotion,
+            **models,
         )
-    if mode in (MODE_SPECTRUM, MODE_PROSODY, "separate"):
-        spec_loaded = load_model_checkpoint(spectrum_ckpt)
-        pros_loaded = load_model_checkpoint(prosody_ckpt)
-        _require_mode(spec_loaded.model.mode, MODE_SPECTRUM, spectrum_ckpt)
-        _require_mode(pros_loaded.model.mode, MODE_PROSODY, prosody_ckpt)
-        return convert_utterance(
-            utt,
-            spectrum_model=spec_loaded.model,
-            prosody_model=pros_loaded.model,
-            wavelet=pros_loaded.wavelet,
-            target_stats=pros_loaded.stats.target_log_f0,
-            stats_policy=stats_policy,
-            emotion_label=pros_loaded.stats.target_emotion,
-        )
-    raise ValidationError(f"unknown conversion mode {mode!r}")
+
+    return convert
 
 
-def _require_mode(actual: str, expected: str, ckpt) -> None:
-    if actual != expected:
+def _required(ckpt, flag: str, system: str):
+    if ckpt is None:
+        raise ValidationError(f"{system} conversion requires {flag}")
+    return ckpt
+
+
+def _load_checked(ckpt, mode: str, flag: str, system: str, target: str | None = None):
+    """A ``mode`` model checkpoint whose target emotion, if given, is ``target``."""
+    loaded = load_model_checkpoint(_required(ckpt, flag, system))
+    if loaded.model.mode != mode:
         raise ValidationError(
-            f"checkpoint {ckpt} holds a {actual!r} model, but {expected!r} is required"
+            f"checkpoint {ckpt} holds a {loaded.model.mode!r} model, but {mode!r} is required"
         )
+    if target is not None and loaded.stats.target_emotion != target:
+        raise ValidationError(
+            f"checkpoint {ckpt} has target emotion {loaded.stats.target_emotion!r}, but the "
+            f"other {system} checkpoint has {target!r}"
+        )
+    return loaded
 
 
 def write_cwt_cache(path, matrix: CwtMatrix, stats, voicing: np.ndarray) -> None:
@@ -314,19 +330,19 @@ def convert_directory(
     joint_ckpt=None,
     baseline_ckpt=None,
 ) -> list:
-    """Convert a list of UtteranceFeatures; writes one UFF per input."""
+    """Convert a list of UtteranceFeatures with one system; writes one UFF per input."""
+    convert = load_system(
+        mode,
+        stats_policy=stats_policy,
+        spectrum_ckpt=spectrum_ckpt,
+        prosody_ckpt=prosody_ckpt,
+        joint_ckpt=joint_ckpt,
+        baseline_ckpt=baseline_ckpt,
+    )
     converted = []
     with OutputDir(out_dir) as path:
         for utt in inputs:
-            out = convert_with_models(
-                utt,
-                mode=mode,
-                stats_policy=stats_policy,
-                spectrum_ckpt=spectrum_ckpt,
-                prosody_ckpt=prosody_ckpt,
-                joint_ckpt=joint_ckpt,
-                baseline_ckpt=baseline_ckpt,
-            )
+            out = convert(utt)
             write_feature_file(out, path / f"{out.utterance_id}.uff")
             converted.append(out)
     return converted

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from prosodia.errors import NumericError, ValidationError
-from prosodia.cyclegan.model import FORWARD, MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
+from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
 from prosodia.features.uff import MCEP_DIM, UtteranceFeatures
 from prosodia.prosody.cwt import CwtMatrix, WaveletParams, cwt_decompose, cwt_reconstruct
 from prosodia.prosody.f0 import NormStats, denormalize_log_f0, preprocess_f0
@@ -23,7 +23,6 @@ def convert_utterance(
     joint_model=None,
     wavelet: WaveletParams = WaveletParams(),
     stats_policy: str = STATS_TARGET,
-    direction: str = FORWARD,
     emotion_label: str | None = None,
 ) -> UtteranceFeatures:
     """Convert one utterance's MCEPs and F0 to the target emotion.
@@ -58,12 +57,12 @@ def convert_utterance(
 
     if joint_model is not None:
         stacked = np.vstack([mceps, decomposed.coeffs])
-        converted = joint_model.convert(stacked, direction)
+        converted = joint_model.convert(stacked)
         conv_mceps = converted[:MCEP_DIM]
         conv_coeffs = converted[MCEP_DIM:]
     else:
-        conv_mceps = spectrum_model.convert(mceps, direction)
-        conv_coeffs = prosody_model.convert(decomposed.coeffs, direction)
+        conv_mceps = spectrum_model.convert(mceps)
+        conv_coeffs = prosody_model.convert(decomposed.coeffs)
 
     reconstructed = cwt_reconstruct(CwtMatrix(coeffs=conv_coeffs, params=wavelet))
     std = float(reconstructed.std())

@@ -266,6 +266,14 @@ def trained(tiny_config, tmp_path_factory):
     return spec_dir, pros_dir, base_dir
 
 
+@pytest.fixture(scope="module")
+def trained_joint(tiny_config, tmp_path_factory):
+    joint_dir = tmp_path_factory.mktemp("trained") / "joint"
+    assert main(["train", "--config", str(tiny_config), "--mode", "joint",
+                 "--out", str(joint_dir)]) == 0
+    return joint_dir
+
+
 class TestConvertCommand:
     def test_separate_conversion_preserves_voicing(self, tiny_config, trained, tmp_path):
         spec_dir, pros_dir, _ = trained
@@ -306,26 +314,97 @@ class TestConvertCommand:
         assert abs(pooled.mean() - tgt_mean) / tgt_mean < 0.02
         assert abs(pooled.std() - tgt_std) / tgt_std < 0.10
 
-    def test_baseline_conversion_reads_lg_stats_once(self, tiny_corpus, trained, monkeypatch):
+    @pytest.mark.parametrize("system", ["baseline", "joint", "separate"])
+    def test_checkpoints_load_once_per_call(
+        self, tiny_corpus, trained, trained_joint, system, tmp_path, monkeypatch
+    ):
         from pathlib import Path
 
         from prosodia.cli import pipeline
 
-        _, _, base_dir = trained
-        reads = []
+        spec_dir, pros_dir, base_dir = trained
+        ckpts = {
+            "baseline": dict(baseline_ckpt=base_dir, spectrum_ckpt=spec_dir),
+            "joint": dict(joint_ckpt=trained_joint),
+            "separate": dict(spectrum_ckpt=spec_dir, prosody_ckpt=pros_dir),
+        }[system]
+        loads, reads = [], []
+        load_model_checkpoint = pipeline.load_model_checkpoint
         read_text = Path.read_text
+
+        def counting_load(ckpt):
+            loads.append(Path(ckpt))
+            return load_model_checkpoint(ckpt)
 
         def counting_read_text(self, *args, **kwargs):
             reads.append(self.name)
             return read_text(self, *args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "load_model_checkpoint", counting_load)
         monkeypatch.setattr(Path, "read_text", counting_read_text)
-        utt = read_feature_file(sorted(tiny_corpus.parent.glob("*_A.uff"))[0])
-        out = pipeline.convert_with_models(
-            utt, mode="baseline", stats_policy="target", baseline_ckpt=base_dir
+        inputs = [read_feature_file(f) for f in sorted(tiny_corpus.parent.glob("*_A.uff"))[:3]]
+        assert len(inputs) == 3
+        out = pipeline.convert_directory(
+            inputs, tmp_path / "conv", mode=system, stats_policy="target", **ckpts
         )
-        assert reads.count(pipeline.LG_STATS_FILE) == 1
-        assert out.emotion_label == "B"
+        assert len(out) == 3 and {u.emotion_label for u in out} == {"B"}
+        model_ckpts = [Path(v) for k, v in ckpts.items() if k != "baseline_ckpt"]
+        assert sorted(loads) == sorted(model_ckpts)
+        assert reads.count(pipeline.LG_STATS_FILE) == (system == "baseline")
+
+    @pytest.mark.parametrize(
+        "system, ckpts, flag",
+        [
+            ("baseline", [], "--baseline-ckpt"),
+            ("joint", [], "--joint-ckpt"),
+            ("separate", ["spectrum_ckpt"], "--prosody-ckpt"),
+        ],
+    )
+    def test_library_conversion_names_missing_checkpoint(
+        self, tiny_corpus, trained, system, ckpts, flag, tmp_path
+    ):
+        from prosodia.cli import pipeline
+        from prosodia.errors import ValidationError
+
+        ckpts = {name: trained[0] for name in ckpts}  # the spectrum checkpoint
+        utt = read_feature_file(sorted(tiny_corpus.parent.glob("*_A.uff"))[0])
+        out = tmp_path / "conv"
+        with pytest.raises(ValidationError, match=flag):
+            pipeline.convert_directory(
+                [utt], out, mode=system, stats_policy="target", **ckpts
+            )
+        assert not out.exists()
+
+    def test_checkpoints_with_other_targets_rejected(
+        self, tiny_config, tiny_corpus, trained, tmp_path, capsys
+    ):
+        from prosodia.cli import pipeline
+        from prosodia.errors import ValidationError
+
+        spec_dir, pros_dir, base_dir = trained
+        pros_c, base_c = tmp_path / "pros_c", tmp_path / "base_c"
+        shutil.copytree(pros_dir, pros_c)
+        shutil.copytree(base_dir, base_c)
+        meta = json.loads((pros_c / "metadata.json").read_text())
+        meta["stats"]["target_emotion"] = "C"
+        (pros_c / "metadata.json").write_text(json.dumps(meta))
+        lg = json.loads((base_c / "lg_stats.json").read_text())
+        lg["target_emotion"] = "C"
+        (base_c / "lg_stats.json").write_text(json.dumps(lg))
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "prosody",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(pros_c),
+            "--out", str(tmp_path / "sep"),
+        ])
+        assert rc == 1
+        assert "target emotion" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists()
+        utt = read_feature_file(sorted(tiny_corpus.parent.glob("*_A.uff"))[0])
+        with pytest.raises(ValidationError, match="target emotion"):
+            pipeline.convert_directory(
+                [utt], tmp_path / "base", mode="baseline", stats_policy="target",
+                baseline_ckpt=base_c, spectrum_ckpt=spec_dir,
+            )
 
     def test_half_written_checkpoint_rejected(self, tiny_config, trained, tmp_path, capsys):
         spec_dir, pros_dir, _ = trained
