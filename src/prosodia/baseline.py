@@ -17,28 +17,17 @@ from prosodia.errors import NumericError, ValidationError
 class LgStats:
     """Voiced-frame log-F0 statistics pooled over a corpus (population divisor)."""
 
-    mean_log_f0: float
-    std_log_f0: float
+    mean: float
+    std: float
     n_frames: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean_log_f0) and np.isfinite(self.std_log_f0)):
+        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
             raise ValidationError("log-F0 statistics must be finite")
-        if not self.std_log_f0 > 0:
-            raise ValidationError(f"std_log_f0 must be > 0, got {self.std_log_f0}")
+        if not self.std > 0:
+            raise ValidationError(f"std must be > 0, got {self.std}")
         if self.n_frames < 2:
             raise ValidationError(f"n_frames must be >= 2, got {self.n_frames}")
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean_log_f0, "std": self.std_log_f0, "n_frames": self.n_frames}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LgStats":
-        return cls(
-            mean_log_f0=float(d["mean"]),
-            std_log_f0=float(d["std"]),
-            n_frames=int(d["n_frames"]),
-        )
 
 
 def lg_fit(corpus) -> LgStats:
@@ -56,7 +45,7 @@ def lg_fit(corpus) -> LgStats:
     std = float(log_f0.std())
     if std == 0.0:
         raise NumericError("degenerate corpus: zero variance in voiced log-F0")
-    return LgStats(mean_log_f0=float(log_f0.mean()), std_log_f0=std, n_frames=pooled.size)
+    return LgStats(mean=float(log_f0.mean()), std=std, n_frames=pooled.size)
 
 
 def lg_transform(f0_hz, src: LgStats, tgt: LgStats) -> np.ndarray:
@@ -69,7 +58,6 @@ def lg_transform(f0_hz, src: LgStats, tgt: LgStats) -> np.ndarray:
     out = np.zeros_like(f0)
     voiced = f0 > 0
     out[voiced] = np.exp(
-        tgt.mean_log_f0
-        + (tgt.std_log_f0 / src.std_log_f0) * (np.log(f0[voiced]) - src.mean_log_f0)
+        tgt.mean + (tgt.std / src.std) * (np.log(f0[voiced]) - src.mean)
     )
     return out

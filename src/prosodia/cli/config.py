@@ -6,12 +6,12 @@ problem before aborting so a bad config is reported exhaustively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from prosodia.errors import ValidationError
 from prosodia.cyclegan.model import TRAINING_MODES, LossWeights, TrainSchedule
+from prosodia.jsonio import REQUIRED, from_json, read_json
 from prosodia.prosody.cwt import WaveletParams
 
 MODE_BASELINE = "baseline"
@@ -30,27 +30,17 @@ PAPER_SCALE_WEIGHTS = dict(lambda_cyc=10.0, lambda_id=5.0, id_cutoff_iters=10_00
 
 @dataclass
 class SplitSpec:
-    source_emotion: str = "A"
-    target_emotion: str = "B"
+    # A config's split section names both emotions; only code may omit them.
+    source_emotion: str = field(default="A", metadata=REQUIRED)
+    target_emotion: str = field(default="B", metadata=REQUIRED)
     n_train_each: int = 20
     n_eval: int = 5
-
-    def to_dict(self) -> dict:
-        return {
-            "source_emotion": self.source_emotion,
-            "target_emotion": self.target_emotion,
-            "n_train_each": self.n_train_each,
-            "n_eval": self.n_eval,
-        }
 
 
 @dataclass
 class NetworkOverrides:
     base_channels: int = 32
     n_residual: int = 4
-
-    def to_dict(self) -> dict:
-        return {"base_channels": self.base_channels, "n_residual": self.n_residual}
 
 
 @dataclass
@@ -72,27 +62,6 @@ class RunConfig:
     pairs: list = field(default_factory=list)
     align: str = "none"
 
-    def to_dict(self) -> dict:
-        return {
-            "manifest": str(self.manifest) if self.manifest else None,
-            "output_dir": str(self.output_dir) if self.output_dir else None,
-            "wavelet": self.wavelet.to_dict(),
-            "network": self.network.to_dict(),
-            "weights": self.weights.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "mode": self.mode,
-            "stats_policy": self.stats_policy,
-            "seed": self.seed,
-            "split": self.split.to_dict(),
-            "pairs": [list(p) for p in self.pairs],
-            "align": self.align,
-        }
-
-    def write_snapshot(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
 
 def _collect(errors: list, condition: bool, message: str) -> bool:
     if not condition:
@@ -105,80 +74,51 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ValidationError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    raw = read_json(path, ValidationError)
     return build_run_config(raw, base_dir=path.parent, overrides=overrides or {})
 
 
 def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
     errors: list[str] = []
+    raw = dict(raw)  # the overrides below edit a copy
+
+    def override(name, values):
+        section = {} if raw.get(name) is None else raw[name]
+        if isinstance(section, dict):  # any other section fails to parse below
+            raw[name] = {**section, **values}
 
     if overrides.get("paper_scale"):
-        raw = dict(raw)
-        raw["schedule"] = {**raw.get("schedule", {}), **PAPER_SCALE_SCHEDULE}
-        raw["weights"] = {**raw.get("weights", {}), **PAPER_SCALE_WEIGHTS}
+        override("schedule", PAPER_SCALE_SCHEDULE)
+        override("weights", PAPER_SCALE_WEIGHTS)
     if overrides.get("seed") is not None:
-        raw = dict(raw)
         raw["seed"] = overrides["seed"]
-        raw["schedule"] = {**raw.get("schedule", {}), "seed": overrides["seed"]}
+        override("schedule", {"seed": overrides["seed"]})
     if overrides.get("mode") is not None:
-        raw = dict(raw)
         raw["mode"] = _cli_mode_to_training_mode(overrides["mode"], errors)
     if overrides.get("align") is not None:
-        raw = dict(raw)
         raw["align"] = overrides["align"]
 
-    def parse_section(name, parser, default):
+    defaults = RunConfig()
+
+    def parse_section(name, cls):
         section = raw.get(name)
-        if section is None:
-            return default()
-        try:
-            return parser(section)
-        except (ValidationError, KeyError, TypeError, ValueError) as err:
-            errors.append(f"{name}: {err}")
-            return default()
+        if section is not None:
+            try:
+                return from_json(cls, section)
+            except (ValidationError, KeyError, TypeError, ValueError) as err:
+                errors.append(f"{name}: {err}")
+        return getattr(defaults, name)
 
-    wavelet = parse_section("wavelet", WaveletParams.from_dict, WaveletParams)
-    weights = parse_section("weights", LossWeights.from_dict, LossWeights)
-    schedule = parse_section(
-        "schedule",
-        TrainSchedule.from_dict,
-        lambda: TrainSchedule(total_iters=5000, constant_lr_iters=2500, decay_iters=2500),
-    )
-    network = parse_section(
-        "network",
-        lambda d: NetworkOverrides(
-            base_channels=int(d.get("base_channels", 32)),
-            n_residual=int(d.get("n_residual", 4)),
-        ),
-        NetworkOverrides,
-    )
-    split = parse_section(
-        "split",
-        lambda d: SplitSpec(
-            source_emotion=str(d["source_emotion"]),
-            target_emotion=str(d["target_emotion"]),
-            n_train_each=int(d.get("n_train_each", 20)),
-            n_eval=int(d.get("n_eval", 5)),
-        ),
-        SplitSpec,
-    )
+    wavelet = parse_section("wavelet", WaveletParams)
+    weights = parse_section("weights", LossWeights)
+    schedule = parse_section("schedule", TrainSchedule)
+    network = parse_section("network", NetworkOverrides)
+    split = parse_section("split", SplitSpec)
 
-    manifest = raw.get("manifest")
+    manifest = _path(raw, "manifest", base_dir, errors)
     if manifest is not None:
-        manifest = Path(manifest)
-        if not manifest.is_absolute():
-            manifest = base_dir / manifest
         _collect(errors, manifest.exists(), f"manifest does not exist: {manifest}")
-    output_dir = raw.get("output_dir")
-    if output_dir is not None:
-        output_dir = Path(output_dir)
-        if not output_dir.is_absolute():
-            output_dir = base_dir / output_dir
+    output_dir = _path(raw, "output_dir", base_dir, errors)
 
     mode = raw.get("mode", "spectrum-separate")
     _collect(
@@ -232,6 +172,17 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
         pairs=[tuple(p) for p in pairs],
         align="linear-resample" if align == "linear" else align,
     )
+
+
+def _path(raw: dict, key: str, base_dir: Path, errors: list) -> Path | None:
+    """``raw[key]`` as a path resolved against ``base_dir``, or None if absent."""
+    value = raw.get(key)
+    if value is None or not _collect(
+        errors, isinstance(value, str), f"{key} must be a path string, got {value!r}"
+    ):
+        return None
+    path = Path(value)
+    return path if path.is_absolute() else base_dir / path
 
 
 def _cli_mode_to_training_mode(cli_mode: str, errors: list) -> str:

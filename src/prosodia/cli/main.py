@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -19,6 +18,7 @@ from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
 from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
 from prosodia.features import load_corpus, read_feature_file, write_feature_file
 from prosodia.features.uff import UtteranceFeatures
+from prosodia.jsonio import from_json, json_text, read_json, write_json
 from prosodia.metrics import evaluate_pairs, read_report_csv, write_report_csv
 from prosodia.prosody import (
     cwt_decompose,
@@ -26,6 +26,7 @@ from prosodia.prosody import (
     pooled_log_f0_stats,
     preprocess_f0,
 )
+from prosodia.prosody.cwt_cache import read_cwt_cache, write_cwt_cache
 
 log = logging.getLogger("prosodia")
 
@@ -157,19 +158,13 @@ def _config_overrides(args) -> dict:
 
 def cmd_synth_corpus(args) -> int:
     if args.synth_spec:
-        path = Path(args.synth_spec)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValidationError(f"{path}: invalid JSON ({err})") from err
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: synth spec must be a JSON object")
+        raw = read_json(args.synth_spec, ValidationError)
         raw.setdefault("n_train_each", args.n_train)
         raw.setdefault("n_eval", args.n_eval)
         try:
-            spec = SynthCorpusSpec.from_dict(raw)
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            raise ValidationError(f"{path}: malformed synth spec ({err!r})") from err
+            spec = from_json(SynthCorpusSpec, raw)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValidationError(f"{args.synth_spec}: malformed synth spec ({err!r})") from err
     else:
         spec = SynthCorpusSpec(n_train_each=args.n_train, n_eval=args.n_eval)
     with pipeline.OutputDir(args.out) as out:
@@ -187,13 +182,12 @@ def cmd_preprocess(args) -> int:
         stats[emotion] = {
             "n_utterances": len(utterances),
             "n_frames": int(sum(u.n_frames for u in utterances)),
-            "log_f0": pooled.to_dict(),
+            "log_f0": pooled,
         }
-    payload = json.dumps(stats, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        write_json(args.out, stats)
     else:
-        print(payload)
+        sys.stdout.write(json_text(stats))
     return EXIT_OK
 
 
@@ -205,16 +199,14 @@ def cmd_decompose(args) -> int:
     with pipeline.OutputDir(args.out) as out:
         stem = Path(args.input).stem
         export_scalogram_csv(matrix, out / f"{stem}.scalogram.csv")
-        pipeline.write_cwt_cache(
-            out / f"{stem}.cwt", matrix, contour.stats, contour.voicing_mask
-        )
+        write_cwt_cache(out / f"{stem}.cwt", matrix, contour.stats, contour.voicing_mask)
     log.info("decomposed %s into %d scales x %d frames", args.input,
              matrix.params.n_scales, matrix.n_frames)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    matrix, stats, voicing = pipeline.read_cwt_cache(args.cache)
+    matrix, stats, voicing = read_cwt_cache(args.cache)
     reference = read_feature_file(args.reference)
     if reference.n_frames != matrix.n_frames:
         raise ValidationError(

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import logging
-import struct
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +29,13 @@ from prosodia.features import (
     make_nonparallel_split,
     write_feature_file,
 )
+from prosodia.jsonio import from_json, read_json, write_json
 from prosodia.prosody import (
     CwtMatrix,
+    NormStats,
     WaveletParams,
     cwt_decompose,
+    cwt_reconstruct,
     denormalize_log_f0,
     pooled_log_f0_stats,
     preprocess_f0,
@@ -44,9 +45,16 @@ log = logging.getLogger("prosodia")
 
 LG_STATS_FILE = "lg_stats.json"
 SYSTEMS = (MODE_BASELINE, MODE_JOINT, "separate")
-CWT_CACHE_MAGIC = b"CWT1"
-_LADDER_CODES = {"octave": 0, "dj": 1}
-_LADDER_NAMES = {v: k for k, v in _LADDER_CODES.items()}
+
+
+@dataclass(frozen=True)
+class BaselineStats:
+    """The keys of ``lg_stats.json``: the baseline's fitted statistics."""
+
+    source_emotion: str
+    target_emotion: str
+    source: LgStats
+    target: LgStats
 
 
 class OutputDir:
@@ -133,43 +141,28 @@ def train_mode(config: RunConfig, mode: str, split: NonParallelSplit, out_dir) -
             config.wavelet,
         )
         loss_log.to_csv(path / "losslog.csv")
-        config.write_snapshot(path / "config.json")
+        write_json(path / "config.json", config)
     return loss_log
 
 
 def train_baseline(config: RunConfig, split: NonParallelSplit, out_dir) -> None:
     """Baseline "training": fit log-F0 statistics for both emotions."""
-    src_stats = lg_fit(split.source_set)
-    tgt_stats = lg_fit(split.target_set)
+    stats = BaselineStats(
+        source_emotion=config.split.source_emotion,
+        target_emotion=config.split.target_emotion,
+        source=lg_fit(split.source_set),
+        target=lg_fit(split.target_set),
+    )
     with OutputDir(out_dir) as path:
-        payload = {
-            "source_emotion": config.split.source_emotion,
-            "target_emotion": config.split.target_emotion,
-            "source": src_stats.to_dict(),
-            "target": tgt_stats.to_dict(),
-        }
-        (path / LG_STATS_FILE).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path / LG_STATS_FILE, stats)
 
 
-def load_lg_stats(ckpt_dir) -> tuple[LgStats, LgStats, str]:
-    """Source stats, target stats and target emotion of a baseline checkpoint."""
+def load_lg_stats(ckpt_dir) -> BaselineStats:
     path = Path(ckpt_dir) / LG_STATS_FILE
     if not path.exists():
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise FormatError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    try:
-        return (
-            LgStats.from_dict(payload["source"]),
-            LgStats.from_dict(payload["target"]),
-            payload["target_emotion"],
-        )
+        return from_json(BaselineStats, read_json(path, FormatError))
     except KeyError as err:
         raise FormatError(f"{path}: missing required key {err.args[0]!r}") from err
     except (TypeError, ValueError) as err:
@@ -191,19 +184,17 @@ def load_system(
     joint ``joint_ckpt``, separate ``spectrum_ckpt`` and ``prosody_ckpt``.
     """
     if system == MODE_BASELINE:
-        src_stats, tgt_stats, emotion = load_lg_stats(
-            _required(baseline_ckpt, "--baseline-ckpt", system)
-        )
+        lg = load_lg_stats(_required(baseline_ckpt, "--baseline-ckpt", system))
         spectrum = None
         if spectrum_ckpt is not None:
             spectrum = _load_checked(
-                spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system, emotion
+                spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system, lg.target_emotion
             )
 
         def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
-            f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), src_stats, tgt_stats)
+            f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), lg.source, lg.target)
             mceps = utt.mceps if spectrum is None else spectrum.model.convert(utt.mceps)
-            return replace(utt, emotion_label=emotion, mceps=mceps, f0_hz=f0)
+            return replace(utt, emotion_label=lg.target_emotion, mceps=mceps, f0_hz=f0)
 
         return convert
     # f0_ckpt: the checkpoint that maps F0, whose wavelet and target stats conversion uses
@@ -253,64 +244,7 @@ def _load_checked(ckpt, mode: str, flag: str, system: str, target: str | None = 
     return loaded
 
 
-def write_cwt_cache(path, matrix: CwtMatrix, stats, voicing: np.ndarray) -> None:
-    """Binary scalogram cache: header, normalization stats, voicing, f64 rows."""
-    p = matrix.params
-    blob = bytearray()
-    blob += CWT_CACHE_MAGIC
-    blob += struct.pack(
-        "<IIIddddB",
-        1,
-        p.n_scales,
-        matrix.n_frames,
-        p.tau0,
-        p.dj,
-        p.s0,
-        p.support_T,
-        _LADDER_CODES[p.ladder],
-    )
-    blob += struct.pack("<dd", stats.mean, stats.std)
-    blob += np.asarray(voicing, dtype=np.uint8).tobytes()
-    blob += np.ascontiguousarray(matrix.coeffs, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
-
-
-def read_cwt_cache(path):
-    from prosodia.prosody.f0 import NormStats
-
-    data = Path(path).read_bytes()
-    if data[:4] != CWT_CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {CWT_CACHE_MAGIC!r}")
-    header = struct.Struct("<IIIddddB")
-    if len(data) < 4 + header.size + 16:
-        raise FormatError(f"{path}: truncated header, {len(data)} bytes")
-    version, n_scales, n_frames, tau0, dj, s0, support_t, ladder = header.unpack_from(data, 4)
-    if version != 1:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    if ladder not in _LADDER_NAMES:
-        raise FormatError(f"{path}: unknown ladder code {ladder}")
-    off = 4 + header.size
-    mean, std = struct.unpack_from("<dd", data, off)
-    off += 16
-    expected = n_frames + n_scales * n_frames * 8
-    if len(data) - off != expected:
-        raise FormatError(
-            f"{path}: payload byte count mismatch, expected {expected}, got {len(data) - off}"
-        )
-    voicing = np.frombuffer(data, dtype=np.uint8, count=n_frames, offset=off).astype(bool)
-    off += n_frames
-    coeffs = np.frombuffer(data, dtype="<f8", count=n_scales * n_frames, offset=off)
-    params = WaveletParams(
-        tau0=tau0, n_scales=n_scales, dj=dj, s0=s0, support_T=support_t,
-        ladder=_LADDER_NAMES[ladder],
-    )
-    matrix = CwtMatrix(coeffs=coeffs.reshape(n_scales, n_frames).copy(), params=params)
-    return matrix, NormStats(mean=mean, std=std), voicing
-
-
-def reconstruct_from_cache(matrix: CwtMatrix, stats, voicing) -> np.ndarray:
-    from prosodia.prosody import cwt_reconstruct
-
+def reconstruct_from_cache(matrix: CwtMatrix, stats: NormStats, voicing) -> np.ndarray:
     rec = cwt_reconstruct(matrix)
     std = float(rec.std())
     if std == 0.0:

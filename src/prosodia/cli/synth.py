@@ -12,7 +12,6 @@ process mapped through a per-emotion affine map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from prosodia.errors import ValidationError
 from prosodia.features.uff import MCEP_DIM, UtteranceFeatures, write_feature_file
+from prosodia.jsonio import write_json
 
 MCEP_LATENT_DIM = 6
 
@@ -30,7 +30,7 @@ class EmotionSpec:
 
     f0_mean_hz: float
     f0_log_std: float = 0.2
-    component_gains: tuple = (1.0, 1.0, 1.0)
+    component_gains: tuple[float, ...] = (1.0, 1.0, 1.0)
     mcep_gain: float = 1.0
     mcep_offset: float = 0.0
 
@@ -59,9 +59,9 @@ class SynthCorpusSpec:
     frames_min: int = 832
     frames_max: int = 1088
     frame_period_ms: float = 5.0
-    contour_periods: tuple = (64.0, 76.0, 90.0)
+    contour_periods: tuple[float, ...] = (64.0, 76.0, 90.0)
     jitter: float = 0.008
-    emotions: dict = field(
+    emotions: dict[str, EmotionSpec] = field(
         default_factory=lambda: {
             "A": EmotionSpec(
                 f0_mean_hz=190.0, f0_log_std=0.17, component_gains=(1.0, 1.0, 1.0)
@@ -94,35 +94,6 @@ class SynthCorpusSpec:
     @property
     def n_ids(self) -> int:
         return 2 * self.n_train_each + self.n_eval
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthCorpusSpec":
-        kwargs = {
-            k: d[k]
-            for k in (
-                "n_train_each",
-                "n_eval",
-                "frames_min",
-                "frames_max",
-                "frame_period_ms",
-                "jitter",
-            )
-            if k in d
-        }
-        if "contour_periods" in d:
-            kwargs["contour_periods"] = tuple(float(p) for p in d["contour_periods"])
-        if "emotions" in d:
-            kwargs["emotions"] = {
-                name: EmotionSpec(
-                    f0_mean_hz=float(p["f0_mean_hz"]),
-                    f0_log_std=float(p.get("f0_log_std", 0.2)),
-                    component_gains=tuple(p.get("component_gains", (1.0, 1.0, 1.0))),
-                    mcep_gain=float(p.get("mcep_gain", 1.0)),
-                    mcep_offset=float(p.get("mcep_offset", 0.0)),
-                )
-                for name, p in d["emotions"].items()
-            }
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -261,7 +232,5 @@ def generate_corpus(spec: SynthCorpusSpec, seed: int, out_dir) -> Path:
             entries.append({"id": utterance_id, "emotion": emotion, "path": fname})
 
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest_path, entries)
     return manifest_path

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from prosodia.errors import FormatError, ValidationError
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
+from prosodia.jsonio import from_json, read_json, write_json
 from prosodia.nn.checkpoint import load_params, save_params
 from prosodia.nn.network import NetworkConfig, param_layout
 from prosodia.prosody.cwt import WaveletParams
@@ -28,22 +28,20 @@ class CorpusStats:
     source_log_f0: NormStats
     target_log_f0: NormStats
 
-    def to_dict(self) -> dict:
-        return {
-            "source_emotion": self.source_emotion,
-            "target_emotion": self.target_emotion,
-            "source_log_f0": self.source_log_f0.to_dict(),
-            "target_log_f0": self.target_log_f0.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusStats":
-        return cls(
-            source_emotion=d["source_emotion"],
-            target_emotion=d["target_emotion"],
-            source_log_f0=NormStats.from_dict(d["source_log_f0"]),
-            target_log_f0=NormStats.from_dict(d["target_log_f0"]),
-        )
+@dataclass
+class Metadata:
+    """The keys of ``metadata.json``; ``feature_stats`` may be absent."""
+
+    mode: str
+    seed: int
+    gen_config: NetworkConfig
+    disc_config: NetworkConfig
+    weights: LossWeights
+    schedule: TrainSchedule
+    stats: CorpusStats
+    wavelet: WaveletParams
+    feature_stats: FeatureStats | None = None
 
 
 def save_model_checkpoint(
@@ -58,20 +56,18 @@ def save_model_checkpoint(
     directory.mkdir(parents=True, exist_ok=True)
     for key, fname in STORE_FILES.items():
         save_params(model.stores()[key], directory / fname)
-    metadata = {
-        "mode": model.mode,
-        "seed": model.seed,
-        "gen_config": model.gen_config.to_dict(),
-        "disc_config": model.disc_config.to_dict(),
-        "weights": weights.to_dict(),
-        "schedule": schedule.to_dict(),
-        "stats": stats.to_dict(),
-        "wavelet": wavelet.to_dict(),
-        "feature_stats": model.feature_stats.to_dict() if model.feature_stats else None,
-    }
-    (directory / METADATA_FILE).write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    metadata = Metadata(
+        mode=model.mode,
+        seed=model.seed,
+        gen_config=model.gen_config,
+        disc_config=model.disc_config,
+        weights=weights,
+        schedule=schedule,
+        stats=stats,
+        wavelet=wavelet,
+        feature_stats=model.feature_stats,
     )
+    write_json(directory / METADATA_FILE, metadata)
 
 
 @dataclass
@@ -98,21 +94,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     if not meta_path.exists():
         raise ValidationError(f"{directory}: missing {METADATA_FILE}; not a checkpoint directory")
     try:
-        metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise FormatError(f"{meta_path}: invalid JSON ({err})") from err
-    if not isinstance(metadata, dict):
-        raise FormatError(f"{meta_path}: expected a JSON object, got {type(metadata).__name__}")
-    try:
-        gen_config = NetworkConfig.from_dict(metadata["gen_config"])
-        disc_config = NetworkConfig.from_dict(metadata["disc_config"])
-        mode, seed = metadata["mode"], int(metadata["seed"])
-        feature_stats = metadata.get("feature_stats")
-        feature_stats = FeatureStats.from_dict(feature_stats) if feature_stats else None
-        weights = LossWeights.from_dict(metadata["weights"])
-        schedule = TrainSchedule.from_dict(metadata["schedule"])
-        stats = CorpusStats.from_dict(metadata["stats"])
-        wavelet = WaveletParams.from_dict(metadata["wavelet"])
+        meta = from_json(Metadata, read_json(meta_path, FormatError))
     except KeyError as err:
         raise FormatError(f"{meta_path}: missing required key {err.args[0]!r}") from err
     except (TypeError, ValueError) as err:
@@ -123,7 +105,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
         if not path.exists():
             raise ValidationError(f"{directory}: missing parameter file {fname}")
         stores[key] = load_params(path)
-    layout = param_layout(gen_config)
+    layout = param_layout(meta.gen_config)
     for key in ("g_xy", "g_yx"):
         shapes = {name: p.shape for name, p in stores[key]}
         wrong = sorted(n for n in layout.keys() | shapes.keys() if shapes.get(n) != layout.get(n))
@@ -135,11 +117,11 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
                 f"{layout.get(name, 'none')}"
             )
     model = CycleGanModel(
-        mode=mode,
-        gen_config=gen_config,
-        disc_config=disc_config,
-        seed=seed,
-        feature_stats=feature_stats,
+        mode=meta.mode,
+        gen_config=meta.gen_config,
+        disc_config=meta.disc_config,
+        seed=meta.seed,
+        feature_stats=meta.feature_stats,
         **stores,
     )
-    return LoadedCheckpoint(model, weights, schedule, stats, wavelet)
+    return LoadedCheckpoint(model, meta.weights, meta.schedule, meta.stats, meta.wavelet)

@@ -48,21 +48,6 @@ class LossWeights:
         if self.lambda_cyc < 0 or self.lambda_id < 0 or self.id_cutoff_iters < 0:
             raise ValidationError("loss weights and cutoff must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_cyc": self.lambda_cyc,
-            "lambda_id": self.lambda_id,
-            "id_cutoff_iters": self.id_cutoff_iters,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        return cls(
-            lambda_cyc=float(d.get("lambda_cyc", 10.0)),
-            lambda_id=float(d.get("lambda_id", 5.0)),
-            id_cutoff_iters=int(d.get("id_cutoff_iters", 10_000)),
-        )
-
 
 @dataclass
 class TrainSchedule:
@@ -92,29 +77,6 @@ class TrainSchedule:
         if iteration <= self.constant_lr_iters:
             return base_lr
         return base_lr * (1.0 - (iteration - self.constant_lr_iters) / self.decay_iters)
-
-    def to_dict(self) -> dict:
-        return {
-            "total_iters": self.total_iters,
-            "constant_lr_iters": self.constant_lr_iters,
-            "decay_iters": self.decay_iters,
-            "lr_g": self.lr_g,
-            "lr_d": self.lr_d,
-            "segment_frames": self.segment_frames,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSchedule":
-        return cls(
-            total_iters=int(d["total_iters"]),
-            constant_lr_iters=int(d["constant_lr_iters"]),
-            decay_iters=int(d["decay_iters"]),
-            lr_g=float(d.get("lr_g", 2e-4)),
-            lr_d=float(d.get("lr_d", 1e-4)),
-            segment_frames=int(d.get("segment_frames", 128)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 @dataclass
@@ -162,23 +124,6 @@ class FeatureStats:
     def destandardize(self, feats: np.ndarray, domain: str) -> np.ndarray:
         mean, std = (self.x_mean, self.x_std) if domain == "x" else (self.y_mean, self.y_std)
         return feats * std[:, None] + mean[:, None]
-
-    def to_dict(self) -> dict:
-        return {
-            "x_mean": self.x_mean.tolist(),
-            "x_std": self.x_std.tolist(),
-            "y_mean": self.y_mean.tolist(),
-            "y_std": self.y_std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureStats":
-        return cls(
-            x_mean=np.asarray(d["x_mean"], dtype=np.float64),
-            x_std=np.asarray(d["x_std"], dtype=np.float64),
-            y_mean=np.asarray(d["y_mean"], dtype=np.float64),
-            y_std=np.asarray(d["y_std"], dtype=np.float64),
-        )
 
 
 @dataclass

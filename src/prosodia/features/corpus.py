@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from prosodia.errors import ValidationError
 from prosodia.features.uff import UtteranceFeatures, read_feature_file
+from prosodia.jsonio import read_json
 
 MANIFEST_VERSION = "1"
 
@@ -36,20 +36,17 @@ def load_manifest(manifest_path) -> CorpusManifest:
     as is any referenced file that does not exist.
     """
     manifest_path = Path(manifest_path)
-    try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ValidationError(f"{manifest_path}: invalid JSON ({err})") from err
-    if not isinstance(raw, list):
-        raise ValidationError(f"{manifest_path}: manifest must be a JSON array")
+    raw = read_json(manifest_path, ValidationError, expect=list)
     base = manifest_path.parent
     entries = []
     seen = set()
     missing = []
     for i, item in enumerate(raw):
-        if not isinstance(item, dict) or not {"id", "emotion", "path"} <= set(item):
+        if not isinstance(item, dict) or not all(
+            isinstance(item.get(k), str) for k in ("id", "emotion", "path")
+        ):
             raise ValidationError(
-                f"{manifest_path}: entry {i} must be an object with id/emotion/path"
+                f"{manifest_path}: entry {i} must be an object with string id/emotion/path"
             )
         key = (item["id"], item["emotion"])
         if key in seen:

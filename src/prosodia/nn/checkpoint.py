@@ -67,7 +67,10 @@ def load_params(path) -> ParamStore:
                 f"{path}: truncated payload for {name!r}, expected {8 * n} bytes, "
                 f"got {len(data) - off}"
             )
-        values = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
+        try:
+            values = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
+        except ValueError as err:  # over 64 axes, or empty with axes too long to index
+            raise FormatError(f"{path}: {name!r} has no numpy shape {shape} ({err})") from err
         off = end
         params[name] = Tensor(values.copy(), requires_grad=True)
     if off != len(data):

@@ -48,11 +48,11 @@ DISC_KERNEL = (3, 4)
 class NetworkConfig:
     kind: str
     in_channels: int
-    base_channels: int = 32
-    n_downsample: int = 2
-    n_residual: int = 4
-    n_upsample: int = 2
-    kernel_sizes: tuple = GEN_KERNELS
+    base_channels: int
+    n_downsample: int
+    n_residual: int
+    n_upsample: int
+    kernel_sizes: tuple
 
     def __post_init__(self):
         if self.kind not in (GENERATOR_KIND, DISCRIMINATOR_KIND):
@@ -69,38 +69,16 @@ class NetworkConfig:
                 raise ValidationError("generator kernel_sizes must list 5 entries")
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_channels": self.in_channels,
-            "base_channels": self.base_channels,
-            "n_downsample": self.n_downsample,
-            "n_residual": self.n_residual,
-            "n_upsample": self.n_upsample,
-            "kernel_sizes": list(self.kernel_sizes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            kind=d["kind"],
-            in_channels=int(d["in_channels"]),
-            base_channels=int(d["base_channels"]),
-            n_downsample=int(d["n_downsample"]),
-            n_residual=int(d["n_residual"]),
-            n_upsample=int(d["n_upsample"]),
-            kernel_sizes=tuple(
-                tuple(k) if isinstance(k, list) else k for k in d["kernel_sizes"]
-            ),
-        )
-
 
 def generator_config(in_channels: int, base_channels: int = 32, n_residual: int = 4) -> NetworkConfig:
     return NetworkConfig(
         kind=GENERATOR_KIND,
         in_channels=in_channels,
         base_channels=base_channels,
+        n_downsample=2,
         n_residual=n_residual,
+        n_upsample=2,
+        kernel_sizes=GEN_KERNELS,
     )
 
 

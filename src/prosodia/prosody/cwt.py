@@ -9,7 +9,7 @@ re-normalize the reconstruction, so only relative scale balance matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +26,20 @@ class WaveletParams:
     """Scale-ladder geometry for the transform.
 
     ``ladder="octave"`` places scale i at ``2**(i+1) * tau0`` (one octave
-    apart); ``ladder="dj"`` uses ``s0 * 2**((i-1)*dj)``.
+    apart); ``ladder="dj"`` uses ``s0 * 2**((i-1)*dj)``, where ``s0`` is
+    ``2 * tau0`` unless given.
     """
 
     tau0: float = DEFAULT_TAU0
     n_scales: int = DEFAULT_N_SCALES
     dj: float = 0.5
-    s0: float = field(default=2 * DEFAULT_TAU0)
+    s0: float = None  # None stands for 2 * tau0
     support_T: float = 5.0
     ladder: str = "octave"
 
     def __post_init__(self):
+        if self.s0 is None:
+            object.__setattr__(self, "s0", 2 * self.tau0)
         if not self.tau0 > 0:
             raise ValidationError(f"tau0 must be > 0, got {self.tau0}")
         if self.n_scales < 1:
@@ -54,27 +57,6 @@ class WaveletParams:
         if self.ladder == "octave":
             return (2.0 ** (i + 1)) * self.tau0
         return self.s0 * 2.0 ** ((i - 1) * self.dj)
-
-    def to_dict(self) -> dict:
-        return {
-            "tau0": self.tau0,
-            "n_scales": self.n_scales,
-            "dj": self.dj,
-            "s0": self.s0,
-            "support_T": self.support_T,
-            "ladder": self.ladder,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WaveletParams":
-        return cls(
-            tau0=float(d.get("tau0", DEFAULT_TAU0)),
-            n_scales=int(d.get("n_scales", DEFAULT_N_SCALES)),
-            dj=float(d.get("dj", 0.5)),
-            s0=float(d.get("s0", 2 * float(d.get("tau0", DEFAULT_TAU0)))),
-            support_T=float(d.get("support_T", 5.0)),
-            ladder=str(d.get("ladder", "octave")),
-        )
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,6 @@ class NormStats:
         if not (np.isfinite(self.mean) and np.isfinite(self.std) and self.std > 0):
             raise ValidationError(f"invalid normalization stats: mean={self.mean}, std={self.std}")
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(mean=float(d["mean"]), std=float(d["std"]))
-
 
 @dataclass(frozen=True)
 class ContinuousF0:

@@ -149,21 +149,21 @@ class TestDecomposeReconstruct:
 class TestCwtCache:
     @pytest.fixture
     def cache_bytes(self, tmp_path):
-        from prosodia.cli import pipeline
         from prosodia.prosody import CwtMatrix, NormStats, WaveletParams
+        from prosodia.prosody.cwt_cache import read_cwt_cache, write_cwt_cache
 
         matrix = CwtMatrix(
             coeffs=np.random.default_rng(0).normal(size=(10, 3)), params=WaveletParams()
         )
         path = tmp_path / "valid.cwt"
-        pipeline.write_cwt_cache(
+        write_cwt_cache(
             path, matrix, NormStats(mean=5.0, std=0.2), np.array([True, False, True])
         )
-        pipeline.read_cwt_cache(path)
+        read_cwt_cache(path)
         return path.read_bytes()
 
     def test_every_proper_prefix_is_format_error(self, cache_bytes, tmp_path):
-        from prosodia.cli.pipeline import read_cwt_cache
+        from prosodia.prosody.cwt_cache import read_cwt_cache
         from prosodia.errors import FormatError
 
         path = tmp_path / "cut.cwt"
@@ -173,7 +173,7 @@ class TestCwtCache:
                 read_cwt_cache(path)
 
     def test_unknown_ladder_code_is_format_error(self, cache_bytes, tmp_path):
-        from prosodia.cli.pipeline import read_cwt_cache
+        from prosodia.prosody.cwt_cache import read_cwt_cache
         from prosodia.errors import FormatError
 
         path = tmp_path / "ladder.cwt"
@@ -580,6 +580,98 @@ class TestNonUtf8Json:
         ])
         assert rc == 2
         assert "metadata.json: invalid JSON" in capsys.readouterr().err
+
+
+DEEP = "[" * 100_000  # nesting deeper than the decoder's recursion limit
+LONG_INT = "1" * 5_000  # more digits than Python converts to int by default
+
+
+class TestJsonEscapes:
+    """Deep nesting, over-long integers and values no field can take exit 1 or 2."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DEEP,
+            f"[{LONG_INT}]",
+            '[{"id": ["u1"], "emotion": "A", "path": "u1.uff"}]',
+        ],
+        ids=["deep", "long_int", "list_id"],
+    )
+    def test_preprocess_manifest(self, tmp_path, text, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        assert main(["preprocess", "--manifest", str(manifest)]) == 1
+        assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            (DEEP, []),
+            (f'{{"seed": {LONG_INT}}}', []),
+            ('{"schedule": {"total_iters": Infinity, "constant_lr_iters": 1, '
+             '"decay_iters": 1}}', []),
+            ('{"manifest": 5}', []),
+            ('{"schedule": [1]}', ["--paper-scale"]),
+        ],
+        ids=["deep", "long_int", "infinite_int", "manifest_number", "schedule_array"],
+    )
+    def test_train_config(self, tmp_path, text, flags):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"), *flags])
+        assert rc == 1
+
+    @pytest.mark.parametrize(
+        "text", [DEEP, f'{{"jitter": {LONG_INT}}}', '{"n_eval": Infinity}'],
+        ids=["deep", "long_int", "infinite_int"],
+    )
+    def test_synth_spec(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        rc = main(["synth-corpus", "--out", str(tmp_path / "corpus"), "--seed", "3",
+                   "--synth-spec", str(spec)])
+        assert rc == 1
+
+    @pytest.mark.parametrize("edit", ["deep", "long_int", "infinite_int"])
+    def test_lg_stats(self, tiny_config, trained, tmp_path, edit, capsys):
+        bad = tmp_path / "base"
+        shutil.copytree(trained[2], bad)
+        stats = bad / "lg_stats.json"
+        stats.write_text(_escape(stats.read_text(encoding="utf-8"), edit, "target", "n_frames"),
+                         encoding="utf-8")
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "baseline",
+            "--baseline-ckpt", str(bad), "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "lg_stats.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["deep", "long_int", "infinite_int"])
+    def test_checkpoint_metadata(self, tiny_config, trained, tmp_path, edit, capsys):
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "pros"
+        shutil.copytree(pros_dir, bad)
+        meta = bad / "metadata.json"
+        meta.write_text(_escape(meta.read_text(encoding="utf-8"), edit, "schedule", "seed"),
+                        encoding="utf-8")
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(bad),
+            "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert "metadata.json" in capsys.readouterr().err
+
+
+def _escape(text: str, edit: str, section: str, key: str) -> str:
+    """``text`` made deep, or with ``payload[section][key]`` an over-long or infinite integer."""
+    if edit == "deep":
+        return DEEP
+    payload = json.loads(text)
+    payload[section][key] = float("inf") if edit == "infinite_int" else 0
+    text = json.dumps(payload)
+    return text.replace(f'"{key}": 0', f'"{key}": {LONG_INT}') if edit == "long_int" else text
 
 
 class TestEvaluateCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prosodia.errors import ValidationError
+from prosodia.jsonio import from_json, to_json
 from prosodia.prosody import (
     CwtMatrix,
     WaveletParams,
@@ -214,7 +215,13 @@ class TestWaveletParams:
 
     def test_json_roundtrip(self):
         params = WaveletParams(tau0=0.004, n_scales=8, dj=0.25, s0=0.02, ladder="dj")
-        assert WaveletParams.from_dict(params.to_dict()) == params
+        assert from_json(WaveletParams, to_json(params)) == params
+
+    def test_s0_is_twice_tau0_unless_given(self):
+        params = WaveletParams(tau0=0.004, ladder="dj")
+        assert params.s0 == 2 * 0.004
+        assert from_json(WaveletParams, {"tau0": 0.004, "ladder": "dj"}) == params
+        assert WaveletParams().s0 == 0.01
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
