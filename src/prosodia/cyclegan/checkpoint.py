@@ -9,7 +9,7 @@ from prosodia.errors import FormatError, ValidationError
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.jsonio import from_json, read_json, write_json
 from prosodia.nn.checkpoint import load_params, save_params
-from prosodia.nn.network import NetworkConfig, param_layout
+from prosodia.nn.network import NetworkConfig, layout_size, param_layout
 from prosodia.prosody.cwt import WaveletParams
 from prosodia.prosody.f0 import NormStats
 
@@ -83,9 +83,10 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     """Load a checkpoint directory written by ``save_model_checkpoint``.
 
     Generator stores must hold exactly the parameters, with the shapes,
-    that the stored ``gen_config`` builds. Discriminator stores are not
-    checked: stores written before the bias-on-every-layer layout still
-    load (see ``prosodia.nn.network``).
+    that the stored ``gen_config`` builds; layer counts that name more
+    parameters than ``g_xy`` holds are rejected before any layout is built.
+    Discriminator stores are not checked: stores written before the
+    bias-on-every-layer layout still load (see ``prosodia.nn.network``).
     """
     directory = Path(directory)
     if (directory / SENTINEL).exists():
@@ -105,6 +106,11 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
         if not path.exists():
             raise ValidationError(f"{directory}: missing parameter file {fname}")
         stores[key] = load_params(path)
+    if layout_size(meta.gen_config) > len(stores["g_xy"]):
+        raise FormatError(
+            f"{directory / STORE_FILES['g_xy']}: the stored gen_config names more "
+            f"parameters than the {len(stores['g_xy'])} it holds"
+        )
     layout = param_layout(meta.gen_config)
     for key in ("g_xy", "g_yx"):
         shapes = {name: p.shape for name, p in stores[key]}

@@ -86,12 +86,15 @@ def train(
     """Train in place and return the model with its loss log.
 
     Both generators run as one stacked call, and so do both discriminators:
-    at the start, each pair's parameters are rebound to views of one
-    [2, ...] buffer per name (``stack_params``), the generators in the
-    order (G_xy, G_yx) and the discriminators in the order (D_y, D_x), so
-    the generators' outputs (fake_y, fake_x) meet the discriminators of
-    their domains slice by slice. Each iteration samples one segment per
-    side and then makes these calls:
+    at the start, each pair is laid out as the two rows of one arena
+    (``stack_params``), the generators in the order (G_xy, G_yx) and the
+    discriminators in the order (D_y, D_x), so the generators' outputs
+    (fake_y, fake_x) meet the discriminators of their domains slice by
+    slice. A pair's gradients land in place in the two rows of its
+    arena's gradient buffer, which lives from the pair's first gradient of
+    a step to the second of its two ``adam_step`` calls, each of which
+    updates one model's row in one pass. Each iteration samples one
+    segment per side and then makes these calls:
 
     1. the generators on (x, y), giving (fake_y, fake_x) with their graphs;
     2. D-step: the discriminators score real and fake in one call on

@@ -26,6 +26,7 @@ import numpy as np
 
 from prosodia.errors import ValidationError
 from prosodia.nn.tensor import (
+    Arena,
     Tensor,
     add,
     conv1d,
@@ -33,7 +34,7 @@ from prosodia.nn.tensor import (
     glu,
     instance_norm,
     leaky_relu,
-    stack_leaves,
+    stack_arena,
     upsample2,
 )
 
@@ -96,10 +97,20 @@ def discriminator_config(in_channels: int, base_channels: int = 32) -> NetworkCo
 
 
 class ParamStore:
-    """Named, insertion-ordered map of trainable tensors."""
+    """Named, insertion-ordered map of trainable tensors.
+
+    Adam reads a store as one row of an ``Arena``: every Tensor's values a
+    view of it, in store order (``slot``).
+    """
+
+    _slot = None  # (arena, row, the Tensors' values arrays when laid out)
 
     def __init__(self, params: dict):
         self.params = params
+
+    def __getstate__(self):
+        # A copy's Tensors own new arrays, not views of this store's arena.
+        return {"params": self.params}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -120,21 +131,41 @@ class ParamStore:
     def n_values(self) -> int:
         return sum(p.values.size for p in self.params.values())
 
+    def slot(self) -> tuple[Arena, int]:
+        """The arena and row that hold this store's values, in store order.
+
+        ``stack_params`` lays stores out; a store it has not laid out, or one
+        whose Tensors have had their values replaced since, is laid out here
+        as the one row of a new arena, which copies every value once.
+        """
+        slot = self._slot
+        if slot is None or len(slot[2]) != len(self.params) or any(
+            p.values is not v for p, v in zip(self.params.values(), slot[2])
+        ):
+            stack_params(self)
+            slot = self._slot
+        return slot[0], slot[1]
+
 
 def stack_params(*stores: ParamStore) -> ParamStore:
     """One store that runs same-layout stores as a single stacked call.
 
-    Each parameter becomes a ``stack_leaves`` buffer [len(stores), ...], and
-    every store's Tensor is rebound to its slice, so the stores keep their
-    Tensors and share memory with the result: a forward with the result
-    over inputs [len(stores), ...] runs stores[i] on slice i, and each
-    slice's gradient reaches stores[i]. Copies every value once; stack again
-    after anything replaces a parameter's array (a deep copy, for one).
+    The stores are laid out as the rows of one arena (``stack_arena``), so
+    every store's Tensors keep their identity and become views of its row,
+    and each parameter of the result is a view [len(stores), ...] of its
+    columns: a forward with the result over inputs [len(stores), ...] runs
+    stores[i] on slice i, and each slice's gradient lands in row i of the
+    arena's gradient buffer, where Adam reads it. Copies every value once,
+    unless the stores already are the rows of one arena in this order; stack
+    again after anything replaces a parameter's array (a deep copy, for one).
     """
     names = stores[0].names()
     if any(store.names() != names for store in stores):
         raise ValidationError("stacked stores must hold the same parameter names")
-    return ParamStore({name: stack_leaves(store[name] for store in stores) for name in names})
+    arena, stacked = stack_arena([[store[name] for store in stores] for name in names])
+    for row, store in enumerate(stores):
+        store._slot = (arena, row, tuple(p.values for p in store.params.values()))
+    return ParamStore(dict(zip(names, stacked)))
 
 
 def _gen_widths(config: NetworkConfig) -> list[int]:
@@ -195,6 +226,18 @@ def param_layout(config: NetworkConfig) -> dict[str, tuple]:
             conv_w(f"layer{j}", c_out, c_prev, *config.kernel_sizes[j - 1])
             c_prev = c_out
     return layout
+
+
+def layout_size(config: NetworkConfig) -> int:
+    """How many parameters ``param_layout(config)`` names, counted without building it.
+
+    Stored configs are outside input: their counts can be far too large to
+    build a layout for, so a reader compares this against what it holds.
+    """
+    if config.kind == GENERATOR_KIND:
+        # in and out, plus three per down/upsampling stage and six per residual block
+        return 5 + 3 * (config.n_downsample + config.n_upsample) + 6 * config.n_residual
+    return 2 * len(_disc_widths(config))
 
 
 def init_params(config: NetworkConfig, seed: int) -> ParamStore:

@@ -34,11 +34,19 @@ fixed are told where it starts: ``glu`` and ``mean`` take the number of
 leading axes, and ``instance_norm`` reads it from its gain, which carries
 the same leading axes as its input.
 
-A stacked parameter (``stack_leaves``) is one Tensor over a buffer
-[N, ...] whose slices are the ``values`` of N leaves, so a stacked call
-copies no weights. Its gradient target splits each gradient along the
-first axis and accumulates slice i into leaf i, at the moment the op's
-closure runs, exactly as N unstacked calls would have.
+A stacked parameter (``stack_leaves``, ``stack_arena``) is one Tensor over
+columns of an :class:`Arena`, values [M, N] whose row i holds the parameters
+of model i side by side; its slices are the ``values`` of M leaves, so a
+stacked call copies no weights. Its gradient lands in place, in the same
+columns of the arena's gradient buffer [M, N]: the first gradient of a
+step copies into them and later ones add, so each leaf's ``grad`` is its
+row of that buffer and holds the sums that M unstacked calls would have
+given it, bit for bit. The buffer is allocated at the first gradient any
+parameter of the arena receives and dies when the last leaf gradient that
+views it is cleared (Adam clears them); frozen parameters never allocate
+it. So Adam reads a model's gradients as one flat row without gathering.
+A caller that keeps a leaf gradient past its step must copy it: while any
+view keeps the buffer alive, the next step writes into it.
 
 ``backward`` walks the nodes once in reverse topological order and frees
 them as it goes: once a node's closure has run, the node drops its
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -87,17 +96,44 @@ class _Node:
         self.done = False
 
 
-class _Stack:
-    """Gradient target of a stacked parameter: slice i goes to ``leaves[i]``.
+class Arena:
+    """Values [M, N] of M models laid out alike, and their gradient buffer.
 
-    It runs no closure and is never consumed, so ``backward`` passes over it
-    as over a leaf and the same stacked parameter serves every step.
+    Each parameter is the same run of columns in every row. ``grad`` returns
+    the buffer of the current step; the arena holds it only weakly, so it
+    lives as long as some leaf gradient views it.
     """
 
-    __slots__ = ("leaves",)
+    __slots__ = ("values", "_grad")
 
-    def __init__(self, leaves):
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._grad = None
+
+    def grad(self) -> np.ndarray:
+        """The gradient buffer, allocated uninitialized if no gradient views it."""
+        buffer = None if self._grad is None else self._grad()
+        if buffer is None:
+            buffer = np.empty(self.values.shape)
+            self._grad = weakref.ref(buffer)
+        return buffer
+
+
+class _Stack:
+    """Gradient target of a stacked parameter: its ``columns`` of an arena.
+
+    Leaf i's gradient is row i of those columns in the arena's gradient
+    buffer. It runs no closure and is never consumed, so ``backward`` passes
+    over it as over a leaf and the same stacked parameter serves every step.
+    """
+
+    __slots__ = ("leaves", "arena", "columns", "shape")
+
+    def __init__(self, leaves, arena: Arena, start: int):
         self.leaves = tuple(leaves)
+        self.arena = arena
+        self.columns = slice(start, start + self.leaves[0].values.size)
+        self.shape = (len(self.leaves),) + self.leaves[0].shape
 
     @property
     def requires_grad(self):
@@ -105,6 +141,42 @@ class _Stack:
             if leaf.requires_grad:
                 return True
         return False
+
+    def add(self, g: np.ndarray) -> None:
+        """Add ``g`` [M, ...] into the leaves' gradients, as ``_accumulate`` per leaf would.
+
+        All leaves fresh: one copy into the buffer. All of them already
+        rows of the buffer: one add. Anything else (a frozen leaf, a gradient
+        assigned by hand) goes leaf by leaf.
+        """
+        buffer = self.arena.grad()
+        rows = buffer[:, self.columns].reshape(self.shape)
+        fresh = in_place = True
+        for leaf in self.leaves:
+            grad = leaf.grad
+            if not leaf.requires_grad:
+                fresh = in_place = False
+            elif grad is None:
+                in_place = False
+            else:
+                fresh = False
+                if grad.base is not buffer:
+                    in_place = False
+        if fresh:
+            np.copyto(rows, g)
+            for leaf, row in zip(self.leaves, rows):
+                leaf.grad = row
+        elif in_place:
+            rows += g
+        else:
+            for leaf, row, part in zip(self.leaves, rows, g):
+                if not leaf.requires_grad:
+                    continue
+                if leaf.grad is None:
+                    np.copyto(row, part)
+                    leaf.grad = row
+                else:
+                    leaf.grad += part
 
 
 class Tensor:
@@ -141,9 +213,6 @@ class Tensor:
             raise ValidationError(f"item() on tensor of size {self.values.size}")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -159,21 +228,72 @@ def stack_leaves(leaves) -> Tensor:
     Leaves that already are the slices of one buffer, in order, keep it.
     """
     leaves = tuple(leaves)
-    shapes = {leaf.shape for leaf in leaves}
-    if len(shapes) != 1:
-        raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
+    _check_shapes(leaves)
     buffer = leaves[0].values.base
-    if buffer is None or buffer.shape != (len(leaves),) + leaves[0].shape or any(
-        leaf.values.base is not buffer
-        or leaf.values.__array_interface__["data"] != part.__array_interface__["data"]
-        for leaf, part in zip(leaves, buffer)
+    if buffer is None or buffer.shape != (len(leaves),) + leaves[0].shape or not _laid_out(
+        [leaves], buffer
     ):
         buffer = np.stack([leaf.values for leaf in leaves])
         for leaf, part in zip(leaves, buffer):
             leaf.values = part
     out = Tensor(buffer)
-    out._node = _Stack(leaves)
+    out._node = _Stack(leaves, Arena(buffer.reshape(len(leaves), -1)), 0)
     return out
+
+
+def stack_arena(columns) -> tuple[Arena, list]:
+    """Stacked parameters over M models, one arena for all; see the module docstring.
+
+    ``columns`` lists, per parameter, its M leaves (one per model). The arena
+    is values [M, N] with each parameter's columns in ``columns`` order; each
+    leaf's ``values`` is rebound to its view of row i, after one copy. Leaves
+    already laid out that way in one array keep it. Returns the arena and
+    the stacked Tensors, views [M, ...] of their columns.
+    """
+    columns = [tuple(leaves) for leaves in columns]
+    for leaves in columns:
+        _check_shapes(leaves)
+    m, n = len(columns[0]), sum(leaves[0].values.size for leaves in columns)
+    owner = columns[0][0].values.base
+    copy = owner is None or owner.shape != (m, n) or not _laid_out(columns, owner)
+    if copy:
+        owner = np.empty((m, n))
+    arena, stacked, start = Arena(owner), [], 0
+    for leaves in columns:
+        stop = start + leaves[0].values.size
+        if copy:
+            for leaf, row in zip(leaves, owner[:, start:stop]):
+                row[...] = leaf.values.reshape(-1)
+                leaf.values = row.reshape(leaf.shape)
+        out = Tensor(owner[:, start:stop].reshape((m,) + leaves[0].shape))
+        out._node = _Stack(leaves, arena, start)
+        stacked.append(out)
+        start = stop
+    return arena, stacked
+
+
+def _check_shapes(leaves) -> None:
+    shapes = {leaf.shape for leaf in leaves}
+    if len(shapes) != 1:
+        raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
+
+
+def _laid_out(columns, owner: np.ndarray) -> bool:
+    """Whether each leaf i is a contiguous view of row i of ``owner``, in ``columns`` order."""
+    base = owner.__array_interface__["data"][0]
+    row_bytes = owner.strides[0]
+    start = 0
+    for leaves in columns:
+        for i, leaf in enumerate(leaves):
+            v = leaf.values
+            if (
+                v.base is not owner
+                or not v.flags.c_contiguous
+                or v.__array_interface__["data"][0] != base + i * row_bytes + 8 * start
+            ):
+                return False
+        start += leaves[0].values.size
+    return True
 
 
 def _target(t: Tensor):
@@ -198,12 +318,12 @@ def _accumulate(t, g: np.ndarray, owned: bool = False) -> None:
     The first gradient is stored as a copy, or as ``g`` itself when
     ``owned`` says it is a new contiguous array nothing else reads. Later
     ones are added in place into that stored array, which no caller reads.
+    A stacked parameter's gradient goes into its arena's buffer instead.
     """
     if not t.requires_grad:
         return
     if type(t) is _Stack:
-        for leaf, part in zip(t.leaves, g):
-            _accumulate(leaf, part, owned)
+        t.add(g)
     elif t.grad is None:
         t.grad = g if owned else g.copy()
     else:
@@ -556,31 +676,41 @@ def _weight_grad(tw, g2: np.ndarray, cols: np.ndarray, w2_shape, w_shape) -> Non
 
 
 def _im2col1d(values: np.ndarray, k: int, stride: int, padding: int, f_out: int) -> np.ndarray:
-    """Columns [..., Cin * K, F_out] of a zero-padded [..., Cin, F] input."""
+    """Columns [..., Cin * K, F_out] of a zero-padded [..., Cin, F] input.
+
+    The taps are one strided view of the padded input, copied once by the
+    reshape.
+    """
     *lead, c_in, frames = values.shape
     xp = np.zeros((*lead, c_in, frames + 2 * padding))
     xp[..., padding : padding + frames] = values
-    cols = np.empty((*lead, c_in, k, f_out))
-    span = (f_out - 1) * stride + 1
-    for j in range(k):
-        cols[..., j, :] = xp[..., j : j + span : stride]
-    return cols.reshape(*lead, c_in * k, f_out)
+    *lead_strides, s_c, s_f = xp.strides
+    taps = np.ndarray(
+        (*lead, c_in, k, f_out), np.float64, xp, 0, (*lead_strides, s_c, s_f, stride * s_f)
+    )
+    return taps.reshape(*lead, c_in * k, f_out)
 
 
 def _im2col2d(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int, w_out: int):
-    """Columns [..., Cin * KH * KW, H_out * W_out] of a zero-padded [..., Cin, H, W] input."""
+    """Columns [..., Cin * KH * KW, H_out * W_out] of a zero-padded [..., Cin, H, W] input.
+
+    The taps are one strided view of the padded input, copied once by the
+    reshape.
+    """
     *lead, c_in, h, wd = values.shape
     sh, sw = stride
     ph, pw = padding
     xp = np.zeros((*lead, c_in, h + 2 * ph, wd + 2 * pw))
     xp[..., ph : ph + h, pw : pw + wd] = values
-    cols = np.empty((*lead, c_in, kh, kw, h_out, w_out))
-    span_h = (h_out - 1) * sh + 1
-    span_w = (w_out - 1) * sw + 1
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j, :, :] = xp[..., i : i + span_h : sh, j : j + span_w : sw]
-    return cols.reshape(*lead, c_in * kh * kw, h_out * w_out)
+    *lead_strides, s_c, s_h, s_w = xp.strides
+    taps = np.ndarray(
+        (*lead, c_in, kh, kw, h_out, w_out),
+        np.float64,
+        xp,
+        0,
+        (*lead_strides, s_c, s_h, s_w, sh * s_h, sw * s_w),
+    )
+    return taps.reshape(*lead, c_in * kh * kw, h_out * w_out)
 
 
 def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor:

@@ -1,6 +1,8 @@
 import json
 import shutil
+import signal
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -485,6 +487,39 @@ class TestMalformedInputsExit2:
         ])
         assert rc == 2
         assert ("'mode'" if edit == "drop_mode" else "gen_config") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", [("n_residual",), ("n_downsample", "n_upsample")])
+    @pytest.mark.parametrize("count", [2**64, 10**400], ids=["2**64", "10**400"])
+    def test_convert_huge_gen_config_counts(self, tiny_config, trained, tmp_path, keys, count,
+                                            capsys):
+        # Such counts once made the layout check loop until memory ran out;
+        # the alarm turns a hang into a failure.
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "pros"
+        shutil.copytree(pros_dir, bad)
+        meta = bad / "metadata.json"
+        metadata = json.loads(meta.read_text())
+        for key in keys:
+            metadata["gen_config"][key] = count
+        meta.write_text(json.dumps(metadata))
+        def hang(signum, frame):
+            raise TimeoutError("load_model_checkpoint did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        start = time.perf_counter()
+        try:
+            rc = main([
+                "convert", "--config", str(tiny_config), "--mode", "spectrum",
+                "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(bad),
+                "--out", str(tmp_path / "conv"),
+            ])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert "gen_config" in capsys.readouterr().err
 
 
 class TestMalformedJson:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ class TestTraining:
         assert calls == {
             "forward_generator": 3 * generator_calls, "forward_discriminator": 3 * 2
         }
+
+    def test_gradient_buffers_live_until_both_adam_steps_of_their_pair(self, monkeypatch):
+        """Each pair's gradients land in one [2, N] buffer that dies with the pair's updates.
+
+        The calls come as (d_x, d_y) then (g_xy, g_yx) in every iteration;
+        the frozen discriminators get no gradient in the G-step.
+        """
+        module = importlib.import_module("prosodia.cyclegan.train")
+        model = tiny_model(seed=17)
+        d_leaves = [p for store in (model.d_x, model.d_y) for _, p in store]
+        buffers = []
+
+        def recording(store, state, lr, real=module.adam_step):
+            g_step = len(buffers) % 4 >= 2
+            assert all(p.grad is None for p in d_leaves) == g_step
+            buffer = next(iter(store.params.values())).grad.base
+            assert buffer.shape == (2, store.n_values())
+            assert all(p.grad.base is buffer for _, p in store)
+            buffers.append(weakref.ref(buffer))
+            del buffer
+            real(store, state, lr)
+            first_of_pair = len(buffers) % 2 == 1
+            assert (buffers[-1]() is not None) == first_of_pair
+
+        monkeypatch.setattr(module, "adam_step", recording)
+        xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+        train(model, xs, ys, LossWeights(id_cutoff_iters=2), tiny_schedule(total=3))
+        assert len(buffers) == 12
+        assert all(ref() is None for ref in buffers)
 
     def test_matches_one_call_per_direction_bitwise(self):
         """Stacked calls give the loss log and parameters of the unstacked loop.

@@ -1,3 +1,5 @@
+import copy
+import math
 import struct
 import tracemalloc
 import weakref
@@ -20,8 +22,9 @@ from prosodia.nn import (
     load_params,
     save_params,
 )
+from prosodia.nn import adam as adam_module
 from prosodia.nn.checkpoint import PRM_MAGIC
-from prosodia.nn.network import ParamStore, param_layout
+from prosodia.nn.network import ParamStore, param_layout, stack_params
 from prosodia.nn.tensor import (
     absolute,
     add,
@@ -222,6 +225,58 @@ class TestAdam:
         expected = 1.0 - 0.1 * (1.0 / (1.0 + state.epsilon))
         np.testing.assert_allclose(p.values, [expected], rtol=1e-15)
         assert p.grad is None
+
+    def test_fused_step_matches_textbook_bitwise(self):
+        """One fused step over a stacked pair against the per-tensor formula.
+
+        The stores hold mixed shapes and more values than one block of the
+        pass; gradients land in place from a backward, with signed zeros and
+        subnormals among them, except one assigned by hand.
+        """
+        local = np.random.default_rng(71)
+        shapes = {"w": (41, 33, 25), "b": (7,), "s": (3, 1, 2)}
+        assert sum(math.prod(s) for s in shapes.values()) > adam_module.CHUNK
+        stores = [
+            ParamStore({name: Tensor(local.normal(0, 1, shape), requires_grad=True)
+                        for name, shape in shapes.items()})
+            for _ in range(2)
+        ]
+        stacked = stack_params(*stores)
+        grads = {}
+        for name, shape in shapes.items():
+            g = local.normal(0, 1, (2,) + shape)
+            g.reshape(-1)[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320]
+            grads[name] = g
+        loss = None
+        for name in shapes:
+            term = total(mul(stacked[name], Tensor(grads[name])))
+            loss = term if loss is None else add(loss, term)
+        backward(loss)
+        by_hand = local.normal(0, 1, shapes["s"])
+        stores[1]["s"].grad = by_hand
+        grads["s"][1] = by_hand
+        for row, store in enumerate(stores):
+            state = AdamState.for_params(store)
+            state.m[:] = local.normal(0, 0.1, state.m.size)
+            state.v[:] = local.uniform(0, 0.1, state.v.size)
+            state.step_count = 2
+            lr, b1, b2, eps = 0.01, state.beta1, state.beta2, state.epsilon
+            bc1, bc2 = 1.0 - b1**3, 1.0 - b2**3
+            expected, start = [], 0
+            for name, p in store:
+                stop = start + p.size
+                g = grads[name][row]
+                m = state.m[start:stop].reshape(p.shape) * b1 + (1.0 - b1) * g
+                v = state.v[start:stop].reshape(p.shape) * b2 + (1.0 - b2) * (g * g)
+                w = p.values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+                expected.append((p, w, m, v, start, stop))
+                start = stop
+            adam_step(store, state, lr)
+            for p, w, m, v, start, stop in expected:
+                assert p.values.tobytes() == w.tobytes()
+                assert state.m[start:stop].tobytes() == m.tobytes()
+                assert state.v[start:stop].tobytes() == v.tobytes()
+                assert p.grad is None
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -728,6 +783,24 @@ class TestStackedCalls:
         assert stack_leaves((b, a)).values is not stacked.values
         with pytest.raises(ValidationError):
             stack_leaves((a, Tensor(np.zeros(3))))
+
+    def test_stack_params_lays_stores_out_as_the_rows_of_one_arena(self):
+        cfg = generator_config(3, base_channels=2, n_residual=1)
+        stores = [init_params(cfg, seed) for seed in (0, 1)]
+        flat = [np.concatenate([p.values.reshape(-1) for _, p in store]) for store in stores]
+        stacked = stack_params(*stores)
+        arena = stacked["in.w"].values.base
+        assert arena.shape == (2, stores[0].n_values())
+        for row, store in enumerate(stores):
+            assert arena[row].tobytes() == flat[row].tobytes()
+            assert all(p.values.base is arena for _, p in store)
+            assert all(_same_bits(stacked[name].values[row], p.values) for name, p in store)
+        assert stack_params(*stores)["in.w"].values.base is arena  # laid out: kept
+        # A deep copy owns new arrays, so stacking it lays out a new arena.
+        copies = copy.deepcopy(stores)
+        assert stack_params(*copies)["in.w"].values.base is not arena
+        copies[0]["in.w"].values += 1.0
+        assert arena[0].tobytes() == flat[0].tobytes()
 
     def test_take_gradients_add_up_exactly(self):
         # -0.0 fills the untaken slices, so even zeros of either sign survive.
