@@ -145,38 +145,31 @@ class _Stack:
     def add(self, g: np.ndarray) -> None:
         """Add ``g`` [M, ...] into the leaves' gradients, as ``_accumulate`` per leaf would.
 
-        All leaves fresh: one copy into the buffer. All of them already
-        rows of the buffer: one add. Anything else (a frozen leaf, a gradient
-        assigned by hand) goes leaf by leaf.
+        A leaf's first gradient of a step is copied into its row of the
+        arena's gradient buffer, which becomes its ``grad``; later ones are
+        added to that ``grad`` in place, one contiguous row at a time (one
+        add over the strided rows of all leaves costs more at small sizes).
+        When every leaf is fresh, one copy fills all rows.
         """
-        buffer = self.arena.grad()
-        rows = buffer[:, self.columns].reshape(self.shape)
-        fresh = in_place = True
-        for leaf in self.leaves:
-            grad = leaf.grad
-            if not leaf.requires_grad:
-                fresh = in_place = False
-            elif grad is None:
-                in_place = False
-            else:
-                fresh = False
-                if grad.base is not buffer:
-                    in_place = False
-        if fresh:
-            np.copyto(rows, g)
-            for leaf, row in zip(self.leaves, rows):
-                leaf.grad = row
-        elif in_place:
-            rows += g
+        leaves = self.leaves
+        for leaf in leaves:
+            if not leaf.requires_grad or leaf.grad is not None:
+                break
         else:
-            for leaf, row, part in zip(self.leaves, rows, g):
-                if not leaf.requires_grad:
-                    continue
-                if leaf.grad is None:
-                    np.copyto(row, part)
-                    leaf.grad = row
-                else:
-                    leaf.grad += part
+            rows = self.arena.grad()[:, self.columns].reshape(self.shape)
+            np.copyto(rows, g)
+            for leaf, row in zip(leaves, rows):
+                leaf.grad = row
+            return
+        for i, (leaf, part) in enumerate(zip(leaves, g)):
+            if not leaf.requires_grad:
+                continue
+            if leaf.grad is None:
+                row = self.arena.grad()[i, self.columns].reshape(leaf.shape)
+                np.copyto(row, part)
+                leaf.grad = row
+            else:
+                leaf.grad += part
 
 
 class Tensor:
