@@ -85,6 +85,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     Generator stores must hold exactly the parameters, with the shapes,
     that the stored ``gen_config`` builds; layer counts that name more
     parameters than ``g_xy`` holds are rejected before any layout is built.
+    Each ``feature_stats`` vector must hold one value per generator channel.
     Discriminator stores are not checked: stores written before the
     bias-on-every-layer layout still load (see ``prosodia.nn.network``).
     """
@@ -122,6 +123,15 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
                 f"{shapes.get(name, 'absent')}, the stored gen_config needs "
                 f"{layout.get(name, 'none')}"
             )
+    if meta.feature_stats is not None:
+        channels = (meta.gen_config.in_channels,)
+        for name in ("x_mean", "x_std", "y_mean", "y_std"):
+            shape = getattr(meta.feature_stats, name).shape
+            if shape != channels:
+                raise FormatError(
+                    f"{meta_path}: feature_stats {name!r} has shape {shape}, the stored "
+                    f"gen_config needs {channels}"
+                )
     model = CycleGanModel(
         mode=meta.mode,
         gen_config=meta.gen_config,

@@ -154,19 +154,26 @@ class CycleGanModel:
         return {"g_xy": self.g_xy, "g_yx": self.g_yx, "d_x": self.d_x, "d_y": self.d_y}
 
     def convert(self, features: np.ndarray, direction: str = FORWARD) -> np.ndarray:
-        """Run one generator over a full-length [channels, N] feature matrix.
+        """Run one generator over a full-length [channels, N] feature matrix, N >= 1.
 
         Inputs shorter than the downsampling factor, or with a frame count
         not divisible by it, are symmetrically reflection-padded and cropped
         back afterwards; the input array is never modified. Trained models
         carry per-dimension standardization, applied on the way in and
-        inverted with the output domain's statistics on the way out.
+        inverted with the output domain's statistics on the way out; both
+        run in float64. The generator itself runs in float32, the precision
+        UFF stores: each call casts the input and the direction's weights to
+        float32 (a cached copy would go stale when ``train`` updates the
+        weights in place), and the output is upcast to float64 before it is
+        destandardized. The result is float64.
         """
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.feature_dim:
             raise ValidationError(
                 f"features must be [{self.feature_dim}, N], got {feats.shape}"
             )
+        if feats.shape[1] == 0:
+            raise ValidationError("features must hold at least one frame, got 0")
         if direction == FORWARD:
             store, domain_in, domain_out = self.g_xy, "x", "y"
         elif direction == INVERSE:
@@ -180,9 +187,10 @@ class CycleGanModel:
         target = max(int(np.ceil(n / factor)) * factor, factor)
         if target != n:
             feats = np.pad(feats, ((0, 0), (0, target - n)), mode="symmetric")
+        weights = ParamStore({name: Tensor(p.values.astype(np.float32)) for name, p in store})
         with no_grad():
-            out = forward_generator(store, self.gen_config, Tensor(feats)).values
-        out = out[:, :n]
+            out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
+        out = out.values[:, :n].astype(np.float64)
         if self.feature_stats is not None:
             out = self.feature_stats.destandardize(out, domain_out)
         return out

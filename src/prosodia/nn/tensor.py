@@ -1,4 +1,12 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float64 or float32 numpy arrays.
+
+Dtypes. A :class:`Tensor` keeps a float32 ``np.ndarray`` as it is and turns
+anything else (lists, ints, numpy scalars, arrays of other dtypes) into a
+float64 array. Every op computes in the dtype of its operands: its result,
+the buffers it allocates (conv outputs, im2col columns, GLU and norm
+scratch) and the gradients it passes back all take that dtype, so a graph
+built from float32 Tensors runs in float32 from end to end. Training passes
+float64 only; ``CycleGanModel.convert`` runs the generator in float32.
 
 Every operation returns a new :class:`Tensor`. When it records a graph, the
 result gets a small :class:`_Node` holding the backward closure, the
@@ -69,6 +77,7 @@ import numpy as np
 from prosodia.errors import AutodiffError, NumericError, ValidationError
 
 _grad_enabled = True
+_FLOAT32 = np.dtype(np.float32)  # numpy's one instance, so ``is`` compares it
 
 
 @contextmanager
@@ -111,10 +120,10 @@ class Arena:
         self._grad = None
 
     def grad(self) -> np.ndarray:
-        """The gradient buffer, allocated uninitialized if no gradient views it."""
+        """The gradient buffer (the values' dtype), uninitialized if no gradient views it."""
         buffer = None if self._grad is None else self._grad()
         if buffer is None:
-            buffer = np.empty(self.values.shape)
+            buffer = np.empty_like(self.values)
             self._grad = weakref.ref(buffer)
         return buffer
 
@@ -176,7 +185,9 @@ class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_node")
 
     def __init__(self, values, requires_grad=False):
-        self.values = np.asarray(values, dtype=np.float64)
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT32:
+            values = np.asarray(values, dtype=np.float64)
+        self.values = values
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._node = None
@@ -295,10 +306,18 @@ def _target(t: Tensor):
 
 
 def _result(values, targets, backward_fn) -> Tensor:
-    """Build an op result, validating finiteness and wiring the graph."""
+    """Build an op result, validating finiteness and wiring the graph.
+
+    ``values`` already has the op's dtype, so the result skips the
+    conversion in ``Tensor.__init__``; an op over 0-d arrays gives a numpy
+    scalar, which becomes a 0-d array of its dtype.
+    """
+    if type(values) is not np.ndarray:
+        values = np.asarray(values)
     if not np.isfinite(values).all():
         raise NumericError("operation produced non-finite values")
-    out = Tensor(values)
+    out = Tensor.__new__(Tensor)
+    out.values, out.grad, out.requires_grad, out._node = values, None, False, None
     if _grad_enabled and any(t.requires_grad for t in targets):
         out.requires_grad = True
         out._node = _Node(backward_fn, targets)
@@ -468,10 +487,10 @@ def mean(a: Tensor, lead: int = 0) -> Tensor:
 
 
 def total(a: Tensor) -> Tensor:
-    ta, shape = _target(a), a.shape
+    ta, shape, dtype = _target(a), a.shape, a.values.dtype
 
     def grad_fn(g):
-        _accumulate(ta, np.full(shape, float(g.reshape(()))))
+        _accumulate(ta, np.full(shape, g.reshape(()), dtype))
 
     return _result(np.asarray(a.values.sum()), (ta,), grad_fn)
 
@@ -484,10 +503,10 @@ def take(a: Tensor, index) -> Tensor:
     included), so the gradients of slices taken apart add up to exactly the
     gradient of the whole.
     """
-    ta, shape = _target(a), a.shape
+    ta, shape, dtype = _target(a), a.shape, a.values.dtype
 
     def grad_fn(g):
-        ga = np.full(shape, -0.0)
+        ga = np.full(shape, -0.0, dtype)
         ga[index] = g
         _accumulate(ta, ga)
 
@@ -529,7 +548,7 @@ def glu(a: Tensor, lead: int = 0) -> Tensor:
     c = a.shape[lead]
     if c % 2:
         raise ValidationError(f"glu needs an even channel count, got {c}")
-    ta, shape = _target(a), a.shape
+    ta, shape, dtype = _target(a), a.shape, a.values.dtype
     top = (slice(None),) * lead + (slice(None, c // 2),)
     bottom = (slice(None),) * lead + (slice(c // 2, None),)
     h = a.values[top]
@@ -539,7 +558,7 @@ def glu(a: Tensor, lead: int = 0) -> Tensor:
     np.divide(1.0, gate, out=gate)
 
     def grad_fn(g):
-        ga = np.empty(shape)
+        ga = np.empty(shape, dtype)
         ga_top, ga_bottom = ga[top], ga[bottom]
         np.multiply(g, h, out=ga_bottom)  # g * h * gate * (1 - gate)
         ga_bottom *= gate
@@ -662,6 +681,11 @@ def _samples(x_shape, x_rank: int, w_shape, w_rank: int) -> list:
     return list(itertools.product(*map(range, x_shape[: max(extra, 0)])))
 
 
+def _dtype(xv: np.ndarray, wv: np.ndarray) -> np.dtype:
+    """The dtype of a conv over input ``xv`` and weight ``wv``: numpy's promotion of both."""
+    return xv.dtype if xv.dtype is wv.dtype else np.promote_types(xv.dtype, wv.dtype)
+
+
 def _weight_grad(tw, g2: np.ndarray, cols: np.ndarray, w2_shape, w_shape) -> None:
     """Accumulate one sample's ``g2 @ cols.T`` into a conv weight, as a separate call would."""
     gw = _unbroadcast(g2 @ cols.swapaxes(-1, -2), w2_shape)
@@ -675,11 +699,11 @@ def _im2col1d(values: np.ndarray, k: int, stride: int, padding: int, f_out: int)
     reshape.
     """
     *lead, c_in, frames = values.shape
-    xp = np.zeros((*lead, c_in, frames + 2 * padding))
+    xp = np.zeros((*lead, c_in, frames + 2 * padding), values.dtype)
     xp[..., padding : padding + frames] = values
     *lead_strides, s_c, s_f = xp.strides
     taps = np.ndarray(
-        (*lead, c_in, k, f_out), np.float64, xp, 0, (*lead_strides, s_c, s_f, stride * s_f)
+        (*lead, c_in, k, f_out), xp.dtype, xp, 0, (*lead_strides, s_c, s_f, stride * s_f)
     )
     return taps.reshape(*lead, c_in * k, f_out)
 
@@ -693,12 +717,12 @@ def _im2col2d(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int,
     *lead, c_in, h, wd = values.shape
     sh, sw = stride
     ph, pw = padding
-    xp = np.zeros((*lead, c_in, h + 2 * ph, wd + 2 * pw))
+    xp = np.zeros((*lead, c_in, h + 2 * ph, wd + 2 * pw), values.dtype)
     xp[..., ph : ph + h, pw : pw + wd] = values
     *lead_strides, s_c, s_h, s_w = xp.strides
     taps = np.ndarray(
         (*lead, c_in, kh, kw, h_out, w_out),
-        np.float64,
+        xp.dtype,
         xp,
         0,
         (*lead_strides, s_c, s_h, s_w, sh * s_h, sw * s_w),
@@ -726,7 +750,8 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
     x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
     samples = _samples(x_shape, 2, w_shape, 3)
     xv, w2 = x.values, w.values.reshape(w_shape[:-3] + (c_out, c_in * k))
-    y = np.empty(lead + (c_out, f_out))
+    dtype = _dtype(xv, w2)
+    y = np.empty(lead + (c_out, f_out), dtype)
     for index in samples:
         np.matmul(w2, _im2col1d(xv[index], k, stride, padding, f_out), out=y[index])
     if b is not None:
@@ -742,7 +767,7 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
         if tb is not None and tb.requires_grad:
             _accumulate(tb, _unbroadcast(g.sum(axis=-1), b_shape))
         if tx.requires_grad:
-            gxp = np.zeros(lead + (c_in, f_pad))
+            gxp = np.zeros(lead + (c_in, f_pad), dtype)
             span = (f_out - 1) * stride + 1
             for index in samples:
                 part = gxp[index]
@@ -781,7 +806,8 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
     x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
     samples = _samples(x_shape, 3, w_shape, 4)
     xv, w2 = x.values, w.values.reshape(w_shape[:-4] + (c_out, c_in * kh * kw))
-    y = np.empty(lead + (c_out, h_out * w_out))
+    dtype = _dtype(xv, w2)
+    y = np.empty(lead + (c_out, h_out * w_out), dtype)
     cols = []
     for index in samples:
         cols.append(_im2col2d(xv[index], kh, kw, stride, padding, h_out, w_out))
@@ -806,7 +832,7 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
         if tb is not None and tb.requires_grad:
             _accumulate(tb, _unbroadcast(g2.sum(axis=-1), b_shape))
         if tx.requires_grad:
-            gxp = np.zeros(lead + (c_in, h_pad, w_pad))
+            gxp = np.zeros(lead + (c_in, h_pad, w_pad), dtype)
             span_h = (h_out - 1) * sh + 1
             span_w = (w_out - 1) * sw + 1
             for index in samples:

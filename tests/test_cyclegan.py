@@ -1,7 +1,9 @@
 import importlib
 import json
+import shutil
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from prosodia.nn import (
     forward_discriminator,
     forward_generator,
     load_params,
+    no_grad,
     save_params,
 )
 from prosodia.nn.network import ParamStore
@@ -39,6 +42,7 @@ from prosodia.nn.tensor import add, add_leading_axis, scale
 from prosodia.prosody import NormStats, WaveletParams
 
 rng = np.random.default_rng(7)
+FIXTURE_CHECKPOINT = Path(__file__).parent / "fixtures" / "checkpoint"
 
 
 class TestAdversarialLoss:
@@ -316,6 +320,25 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train(model, [], tiny_feature_sets(10), LossWeights(), tiny_schedule())
 
+    def test_float32_feature_sets_train_as_their_float64_values(self, tmp_path):
+        """float32 inputs take no float32 training path: same loss log and stores, bit for bit."""
+        xs = [f.astype(np.float32) for f in tiny_feature_sets(10, seed=1)]
+        ys = [f.astype(np.float32) for f in tiny_feature_sets(10, seed=2)]
+        written = []
+        for dtype in (np.float32, np.float64):
+            model, log = train(
+                tiny_model(seed=14), [f.astype(dtype) for f in xs], [f.astype(dtype) for f in ys],
+                LossWeights(id_cutoff_iters=3), tiny_schedule(total=6),
+            )
+            out = tmp_path / np.dtype(dtype).name
+            out.mkdir()
+            log.to_csv(out / "losslog.csv")
+            for key, store in model.stores().items():
+                assert all(p.values.dtype == np.float64 for _, p in store)
+                save_params(store, out / f"{key}.prm1")
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
+
     def test_loss_log_csv_roundtrip(self, tmp_path):
         model = tiny_model(seed=11)
         xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
@@ -440,6 +463,42 @@ class TestConvertFeatures:
         model = tiny_model()
         with pytest.raises(ValidationError):
             model.convert(np.zeros((24, 8)), "forward")
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValidationError, match="at least one frame"):
+            tiny_model().convert(np.zeros((10, 0)), "forward")
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("source", ["fixture", "trained"])
+    def test_float32_generator_matches_float64_reference(self, source, direction):
+        """The float32 generator stays within 1e-4 of each output row's std of float64."""
+        if source == "fixture":
+            model = load_model_checkpoint(FIXTURE_CHECKPOINT).model
+        else:
+            xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+            model, _ = train(tiny_model(seed=15), xs, ys, LossWeights(), tiny_schedule(total=4))
+        domain = "x" if direction == "forward" else "y"
+        standard = np.random.default_rng(16).normal(0, 1, (10, 998))
+        feats = model.feature_stats.destandardize(standard, domain)
+        out = model.convert(feats, direction)
+        reference = _reference_convert(model, feats, direction)
+        assert out.dtype == np.float64
+        assert (np.abs(out - reference).max(axis=1) <= 1e-4 * reference.std(axis=1)).all()
+        assert model.convert(feats, direction).tobytes() == out.tobytes()
+
+
+def _reference_convert(model, feats, direction):
+    """What ``CycleGanModel.convert`` computes, with the generator run in float64."""
+    store, domain_in, domain_out = (
+        (model.g_xy, "x", "y") if direction == "forward" else (model.g_yx, "y", "x")
+    )
+    n = feats.shape[1]
+    padded = np.pad(
+        model.feature_stats.standardize(feats, domain_in), ((0, 0), (0, -n % 4)), mode="symmetric"
+    )
+    with no_grad():
+        out = forward_generator(store, model.gen_config, Tensor(padded)).values[:, :n]
+    return model.feature_stats.destandardize(out, domain_out)
 
 
 class _IdentityModel:
@@ -634,6 +693,16 @@ class TestCheckpointDirectory:
         save_params(ParamStore(dict(list(store)[:-1])), tmp_path / "g_yx.prm1")
         with pytest.raises(FormatError, match="out.b"):
             load_model_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("name", ["x_mean", "x_std", "y_mean", "y_std"])
+    def test_feature_stats_of_another_length_are_format_error(self, tmp_path, name):
+        shutil.copytree(FIXTURE_CHECKPOINT, tmp_path / "checkpoint")
+        meta = tmp_path / "checkpoint" / "metadata.json"
+        metadata = json.loads(meta.read_text())
+        metadata["feature_stats"][name] = [0.5, 1.0, 1.5]  # the generator has 10 channels
+        meta.write_text(json.dumps(metadata))
+        with pytest.raises(FormatError, match=name):
+            load_model_checkpoint(tmp_path / "checkpoint")
 
     def test_discriminator_store_in_the_old_layout_loads(self, tmp_path):
         # Stores written before discriminators dropped their norms hold

@@ -28,6 +28,7 @@ from prosodia.nn.network import ParamStore, param_layout, stack_params
 from prosodia.nn.tensor import (
     absolute,
     add,
+    add_const,
     add_leading_axis,
     conv1d,
     conv2d,
@@ -37,6 +38,7 @@ from prosodia.nn.tensor import (
     matmul,
     mean,
     mul,
+    scale,
     square,
     stack_leaves,
     sub,
@@ -202,6 +204,79 @@ class TestBackward:
         t = Tensor(np.array([1e308]), requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             square(t)
+
+
+# Operand shapes and the op over them, for the dtype contract.
+_DTYPE_OPS = {
+    "add": ([(4, 6), (4, 6)], add),
+    "sub": ([(4, 6), (4, 6)], sub),
+    "mul": ([(4, 6), (4, 6)], mul),
+    "scale": ([(4, 6)], lambda a: scale(a, 0.5)),
+    "add_const": ([(4, 6)], lambda a: add_const(a, 0.5)),
+    "square": ([(4, 6)], square),
+    "absolute": ([(4, 6)], absolute),
+    "mean": ([(4, 6)], mean),
+    "total": ([(4, 6)], total),
+    "take": ([(4, 6)], lambda a: take(a, [1, 0])),
+    "matmul": ([(4, 3), (3, 5)], matmul),
+    "leaky_relu": ([(4, 6)], leaky_relu),
+    "glu": ([(4, 6)], glu),
+    "instance_norm": ([(4, 6), (4,), (4,)], instance_norm),
+    "add_leading_axis": ([(4, 6)], add_leading_axis),
+    "upsample2": ([(4, 6)], upsample2),
+}
+
+
+def _dtype_case(name, dtype):
+    """Operand arrays of op ``name`` in ``dtype`` and the op over their Tensors."""
+    local = np.random.default_rng(70)
+    if name in _DTYPE_OPS:
+        shapes, op = _DTYPE_OPS[name]
+        return [local.normal(0.5, 1.0, shape).astype(dtype) for shape in shapes], op
+    op, stacked = name.split("-")
+    if stacked == "one":
+        arrays = _conv_case(op, local, (), ())
+        return [a.astype(dtype) for a in arrays], lambda *t: _conv(op, *t)
+    # Weights [2 models, ...] as stacked leaves, against inputs [2, 2 models, ...].
+    x, w, b = _conv_case(op, local, weight_lead=(2,))
+    return [a.astype(dtype) for a in (x, *w, *b)], lambda x, w0, w1, b0, b1: _conv(
+        op, x, stack_leaves((w0, w1)), stack_leaves((b0, b1))
+    )
+
+
+class TestDtypes:
+    """Every op computes in its operands' dtype, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "name",
+        [*_DTYPE_OPS, "conv1d-one", "conv1d-stacked", "conv2d-one", "conv2d-stacked"],
+    )
+    def test_op_keeps_operand_dtype(self, name, dtype):
+        arrays, op = _dtype_case(name, dtype)
+        operands = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*operands)
+        assert out.values.dtype == dtype
+        backward(total(out))
+        for t in operands:
+            assert t.grad is not None and t.grad.dtype == dtype
+
+    def test_non_finite_float32_result_rejected(self):
+        t = Tensor(np.float32([1e20]), requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            square(t)
+
+    def test_tensor_keeps_a_float32_array(self):
+        values = np.float32([1.5, 2.5])
+        assert Tensor(values).values is values
+
+    @pytest.mark.parametrize(
+        "values", [[1.5, 2.5], 3, np.float16([1.5, 2.5]), np.float32(1.5)]
+    )
+    def test_tensor_makes_anything_else_float64(self, values):
+        t = Tensor(values)
+        assert type(t.values) is np.ndarray and t.values.dtype == np.float64
+        np.testing.assert_array_equal(t.values, np.asarray(values, dtype=np.float64))
 
 
 class TestAdam:
