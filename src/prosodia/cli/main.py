@@ -324,6 +324,8 @@ def _run_pair(config: RunConfig, pair_dir: Path) -> dict:
     eval_targets = [tgt for _, tgt in split.eval_pairs]
     if not eval_sources:
         raise ValidationError("compare needs a non-empty eval set (n_eval >= 1)")
+    pipeline.check_output_ids(eval_targets)
+    pipeline.check_output_ids(eval_sources)
 
     with pipeline.OutputDir(pair_dir) as pdir:
         reference_dir = pdir / "reference"

@@ -74,6 +74,21 @@ class OutputDir:
         return False
 
 
+def check_output_ids(utterances) -> None:
+    """Reject ids that cannot each name their own ``<id>.uff`` in one directory.
+
+    An id must be one path component (not empty, ``.`` or ``..``, and free
+    of ``/``, ``\\`` and NUL) and must not repeat.
+    """
+    seen = set()
+    for uid in (utt.utterance_id for utt in utterances):
+        if uid in ("", ".", "..") or any(c in uid for c in "/\\\0"):
+            raise ValidationError(f"utterance id {uid!r} cannot name an output file")
+        if uid in seen:
+            raise ValidationError(f"utterance id {uid!r} appears twice in one output directory")
+        seen.add(uid)
+
+
 def load_split(config: RunConfig) -> NonParallelSplit:
     if config.manifest is None:
         raise ValidationError("config requires a manifest path")
@@ -265,6 +280,7 @@ def convert_directory(
     baseline_ckpt=None,
 ) -> list:
     """Convert a list of UtteranceFeatures with one system; writes one UFF per input."""
+    check_output_ids(inputs)
     convert = load_system(
         mode,
         stats_policy=stats_policy,

@@ -54,6 +54,8 @@ def load_params(path) -> ParamStore:
         except UnicodeDecodeError as err:
             raise FormatError(f"{path}: parameter name is not UTF-8 ({err})") from err
         off += name_len
+        if name in params:
+            raise FormatError(f"{path}: parameter {name!r} appears twice")
         (rank,) = struct.unpack_from("<I", data, off)
         off += 4
         if off + 4 * rank > len(data):

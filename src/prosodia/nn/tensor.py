@@ -18,9 +18,9 @@ closure holds the arrays its backward reads and nothing else: operand
 arrays for ``mul``, ``matmul``, ``square`` and ``absolute``, only shapes for
 the adds, ``scale``, ``take``, ``mean`` and ``total``, a boolean mask
 instead of a float factor for leaky ReLU, the ungated half for GLU, and
-im2col columns only where a conv2d weight requires grad; other columns are
-rebuilt from the input array in backward. So a result's ``values`` live
-exactly as long as the caller or some closure holds them: a conv output
+for a convolution the input array, never im2col columns: backward rebuilds
+a sample's columns from it when the weight trains. So a result's ``values``
+live exactly as long as the caller or some closure holds them: a conv output
 under an instance norm dies when the caller rebinds its name. Convolution
 backward reads the input and weight arrays again, so these must not change
 in place between forward and backward; Adam updates parameters only after
@@ -668,47 +668,21 @@ def _lead_shape(x: Tensor, x_rank: int, w: Tensor, w_rank: int, op: str) -> tupl
         ) from None
 
 
-def _samples(x_shape, x_rank: int, w_shape, w_rank: int) -> list:
+def _samples(x_shape, w_shape) -> list:
     """One index per sample sharing the weight: the input's leading axes the weight lacks.
 
+    The shapes are those of x [..., Cin, H, W] and w [..., Cout, Cin, KH, KW].
     A conv builds columns and takes products once per sample, each sample
     with every model of a stacked weight. Columns of all samples in one
     array would be several times the largest array of an unstacked call,
     and arrays that large fragment the heap: with the four slices of the
     D-step in one array, the peak RSS of ``train-desk`` rose by about 3 MB.
     """
-    extra = (len(x_shape) - x_rank) - (len(w_shape) - w_rank)
+    extra = (len(x_shape) - 3) - (len(w_shape) - 4)
     return list(itertools.product(*map(range, x_shape[: max(extra, 0)])))
 
 
-def _dtype(xv: np.ndarray, wv: np.ndarray) -> np.dtype:
-    """The dtype of a conv over input ``xv`` and weight ``wv``: numpy's promotion of both."""
-    return xv.dtype if xv.dtype is wv.dtype else np.promote_types(xv.dtype, wv.dtype)
-
-
-def _weight_grad(tw, g2: np.ndarray, cols: np.ndarray, w2_shape, w_shape) -> None:
-    """Accumulate one sample's ``g2 @ cols.T`` into a conv weight, as a separate call would."""
-    gw = _unbroadcast(g2 @ cols.swapaxes(-1, -2), w2_shape)
-    _accumulate(tw, gw.reshape(w_shape), owned=True)
-
-
-def _im2col1d(values: np.ndarray, k: int, stride: int, padding: int, f_out: int) -> np.ndarray:
-    """Columns [..., Cin * K, F_out] of a zero-padded [..., Cin, F] input.
-
-    The taps are one strided view of the padded input, copied once by the
-    reshape.
-    """
-    *lead, c_in, frames = values.shape
-    xp = np.zeros((*lead, c_in, frames + 2 * padding), values.dtype)
-    xp[..., padding : padding + frames] = values
-    *lead_strides, s_c, s_f = xp.strides
-    taps = np.ndarray(
-        (*lead, c_in, k, f_out), xp.dtype, xp, 0, (*lead_strides, s_c, s_f, stride * s_f)
-    )
-    return taps.reshape(*lead, c_in * k, f_out)
-
-
-def _im2col2d(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int, w_out: int):
+def _im2col(values: np.ndarray, kh: int, kw: int, stride, padding, h_out: int, w_out: int):
     """Columns [..., Cin * KH * KW, H_out * W_out] of a zero-padded [..., Cin, H, W] input.
 
     The taps are one strided view of the padded input, copied once by the
@@ -734,101 +708,64 @@ def conv1d(x: Tensor, w: Tensor, b, stride: int = 1, padding: int = 0) -> Tensor
     """1-D convolution: x [..., Cin, F], w [..., Cout, Cin, K], b [..., Cout] or None.
 
     Pass ``b=None`` for bias-free convolutions (used before norm layers,
-    where a bias would be structurally redundant). Backward rebuilds the
-    im2col columns from the input array instead of keeping a K-fold copy
-    of the input alive in the graph.
+    where a bias would be structurally redundant). It is :func:`conv2d`
+    over a height of one: the input viewed as [..., Cin, 1, F], the weight
+    as [..., Cout, Cin, 1, K], stride (1, ``stride``) and padding
+    (0, ``padding``), which computes the same products and sums in the same
+    order as a 1-D im2col would.
     """
-    lead = _lead_shape(x, 2, w, 3, "conv1d")
-    c_in, frames = x.shape[-2:]
-    c_out, c_in_w, k = w.shape[-3:]
-    if c_in_w != c_in:
-        raise ValidationError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    f_pad = frames + 2 * padding
-    f_out = (f_pad - k) // stride + 1
-    if f_out < 1:
-        raise ValidationError(f"conv1d output would be empty (frames={frames}, k={k})")
-    x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
-    samples = _samples(x_shape, 2, w_shape, 3)
-    xv, w2 = x.values, w.values.reshape(w_shape[:-3] + (c_out, c_in * k))
-    dtype = _dtype(xv, w2)
-    y = np.empty(lead + (c_out, f_out), dtype)
-    for index in samples:
-        np.matmul(w2, _im2col1d(xv[index], k, stride, padding, f_out), out=y[index])
-    if b is not None:
-        y += b.values[..., None]
-    tx, tw, tb = _target(x), _target(w), None if b is None else _target(b)
-
-    def grad_fn(g):
-        # Frozen weights (requires_grad off) cost no gradient matmul.
-        for index in samples if tw.requires_grad else ():
-            cols = _im2col1d(xv[index], k, stride, padding, f_out)
-            _weight_grad(tw, g[index], cols, w2.shape, w_shape)
-            del cols  # before the input gradient's columns exist
-        if tb is not None and tb.requires_grad:
-            _accumulate(tb, _unbroadcast(g.sum(axis=-1), b_shape))
-        if tx.requires_grad:
-            gxp = np.zeros(lead + (c_in, f_pad), dtype)
-            span = (f_out - 1) * stride + 1
-            for index in samples:
-                part = gxp[index]
-                gcols = (w2.swapaxes(-1, -2) @ g[index]).reshape(part.shape[:-2] + (c_in, k, f_out))
-                for j in range(k):
-                    part[..., j : j + span : stride] += gcols[..., j, :]
-            _accumulate(tx, _unbroadcast(gxp[..., padding : padding + frames], x_shape))
-
-    return _result(y, (tx, tw) if tb is None else (tx, tw, tb), grad_fn)
+    return _conv(x, w, b, (1, stride), (0, padding), "conv1d")
 
 
 def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D convolution: x [..., Cin, H, W], w [..., Cout, Cin, KH, KW], b [..., Cout] or None.
 
-    The im2col columns stay in the graph only when the weight requires grad
-    at forward time, and then the input array does not; otherwise the input
-    array stays, so a weight unfrozen after the forward gets its columns
-    rebuilt from it in backward. Backward drops each sample's columns once
-    its weight gradient is taken, before the input gradient's columns of
-    the same size exist.
+    The graph keeps the input array, never im2col columns: backward
+    rebuilds a sample's columns from it when the weight requires grad, and
+    drops them once that sample's weight gradient is taken, before the
+    input gradient's columns of the same size exist. Frozen weights cost no
+    columns and no gradient matmul.
     """
-    lead = _lead_shape(x, 3, w, 4, "conv2d")
-    c_in, h, wd = x.shape[-3:]
-    c_out, c_in_w, kh, kw = w.shape[-4:]
+    return _conv(x, w, b, stride, padding, "conv2d")
+
+
+def _conv(x: Tensor, w: Tensor, b, stride, padding, op: str) -> Tensor:
+    """The one convolution body; ``conv1d`` runs it over height-1 views."""
+    one_d = op == "conv1d"
+    lead = _lead_shape(x, 3 - one_d, w, 4 - one_d, op)
+    xv, wv = x.values, w.values
+    if one_d:
+        xv, wv = xv[..., None, :], wv[..., None, :]
+    c_in, h, wd = xv.shape[-3:]
+    c_out, c_in_w, kh, kw = wv.shape[-4:]
     if c_in_w != c_in:
-        raise ValidationError(f"conv2d channel mismatch: input {c_in}, weight {c_in_w}")
+        raise ValidationError(f"{op} channel mismatch: input {c_in}, weight {c_in_w}")
     sh, sw = stride
     ph, pw = padding
     h_pad, w_pad = h + 2 * ph, wd + 2 * pw
     h_out = (h_pad - kh) // sh + 1
     w_out = (w_pad - kw) // sw + 1
     if h_out < 1 or w_out < 1:
-        raise ValidationError(
-            f"conv2d output would be empty (input {h}x{wd}, kernel {kh}x{kw})"
-        )
+        raise ValidationError(f"{op} output would be empty (input {h}x{wd}, kernel {kh}x{kw})")
     x_shape, w_shape, b_shape = x.shape, w.shape, None if b is None else b.shape
-    samples = _samples(x_shape, 3, w_shape, 4)
-    xv, w2 = x.values, w.values.reshape(w_shape[:-4] + (c_out, c_in * kh * kw))
-    dtype = _dtype(xv, w2)
+    samples = _samples(xv.shape, wv.shape)
+    w2 = wv.reshape(wv.shape[:-4] + (c_out, c_in * kh * kw))
+    # numpy's promotion of both operands, compared by identity when they agree
+    dtype = xv.dtype if xv.dtype is w2.dtype else np.promote_types(xv.dtype, w2.dtype)
     y = np.empty(lead + (c_out, h_out * w_out), dtype)
-    cols = []
     for index in samples:
-        cols.append(_im2col2d(xv[index], kh, kw, stride, padding, h_out, w_out))
-        np.matmul(w2, cols[-1], out=y[index])
-    y = y.reshape(lead + (c_out, h_out, w_out))
+        np.matmul(w2, _im2col(xv[index], kh, kw, stride, padding, h_out, w_out), out=y[index])
     if b is not None:
-        y += b.values[..., None, None]
+        y += b.values[..., None]
     tx, tw, tb = _target(x), _target(w), None if b is None else _target(b)
-    kept = None
-    if tw.requires_grad:
-        kept, xv = cols, None  # backward reads the columns, not the input
 
     def grad_fn(g):
         g2 = g.reshape(lead + (c_out, h_out * w_out))
-        for n, index in enumerate(samples if tw.requires_grad else ()):
-            if kept is None:
-                part = _im2col2d(xv[index], kh, kw, stride, padding, h_out, w_out)
-            else:
-                part, kept[n] = kept[n], None
-            _weight_grad(tw, g2[index], part, w2.shape, w_shape)
-            del part
+        for index in samples if tw.requires_grad else ():
+            cols = _im2col(xv[index], kh, kw, stride, padding, h_out, w_out)
+            gw = _unbroadcast(g2[index] @ cols.swapaxes(-1, -2), w2.shape)
+            del cols  # before the input gradient's columns exist
+            _accumulate(tw, gw.reshape(w_shape), owned=True)
         if tb is not None and tb.requires_grad:
             _accumulate(tb, _unbroadcast(g2.sum(axis=-1), b_shape))
         if tx.requires_grad:
@@ -844,9 +781,11 @@ def conv2d(x: Tensor, w: Tensor, b, stride=(1, 1), padding=(0, 0)) -> Tensor:
                     for j in range(kw):
                         tap = part[..., i : i + span_h : sh, j : j + span_w : sw]
                         tap += gcols[..., i, j, :, :]
-            _accumulate(tx, _unbroadcast(gxp[..., ph : ph + h, pw : pw + wd], x_shape))
+            gx = _unbroadcast(gxp[..., ph : ph + h, pw : pw + wd], xv.shape)
+            _accumulate(tx, gx.reshape(x_shape))
 
-    return _result(y, (tx, tw) if tb is None else (tx, tw, tb), grad_fn)
+    out_shape = lead + (c_out,) + ((w_out,) if one_d else (h_out, w_out))
+    return _result(y.reshape(out_shape), (tx, tw) if tb is None else (tx, tw, tb), grad_fn)
 
 
 def l1_distance(a: Tensor, b: Tensor) -> Tensor:

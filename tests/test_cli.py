@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import signal
@@ -10,7 +11,12 @@ import pytest
 from prosodia.cli.main import main
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
 from prosodia.cyclegan.checkpoint import SENTINEL
-from prosodia.features import load_corpus, make_nonparallel_split, read_feature_file
+from prosodia.features import (
+    load_corpus,
+    make_nonparallel_split,
+    read_feature_file,
+    write_feature_file,
+)
 from prosodia.prosody import preprocess_f0, read_scalogram_csv
 
 
@@ -436,6 +442,61 @@ class TestConvertCommand:
             "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
+
+
+def _with_id(src, dst, utterance_id: str) -> None:
+    """Copy the UFF file ``src`` to ``dst`` under another utterance id."""
+    utt = dataclasses.replace(read_feature_file(src), utterance_id=utterance_id)
+    write_feature_file(utt, dst)
+
+
+class TestUtteranceIdsNameOutputFiles:
+    """An id becomes ``<id>.uff``: one that leaves --out or repeats exits 1, writing nothing."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["../escaped"], ["same", "other", "same"], [""], ["."], [".."], ["a\\b"], ["a\0b"]],
+        ids=["parent", "repeated", "empty", "dot", "dotdot", "backslash", "nul"],
+    )
+    def test_convert(self, tiny_config, tiny_corpus, trained, tmp_path, ids, capsys):
+        _, _, base_dir = trained
+        sources = sorted(tiny_corpus.parent.glob("*.uff"))
+        inputs = []
+        for k, utterance_id in enumerate(ids):
+            inputs.append(tmp_path / f"in{k}.uff")
+            _with_id(sources[k], inputs[-1], utterance_id)
+        work = tmp_path / "work"
+        work.mkdir()
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "baseline",
+            "--baseline-ckpt", str(base_dir), "--inputs", *map(str, inputs),
+            "--out", str(work / "out"),
+        ])
+        assert rc == 1
+        assert "utterance id" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+    def test_compare(self, tiny_config, tiny_corpus, tmp_path, capsys):
+        # Three levels up from <out>/<pair>/reference is the parent of --out.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus.parent, corpus)
+        manifest = corpus / tiny_corpus.name
+        entries = json.loads(manifest.read_text(encoding="utf-8"))
+        for entry in entries:
+            entry["id"] = "../../../" + entry["id"]
+            _with_id(corpus / entry["path"], corpus / entry["path"], entry["id"])
+        manifest.write_text(json.dumps(entries), encoding="utf-8")
+        config = json.loads(tiny_config.read_text(encoding="utf-8"))
+        config["manifest"] = str(manifest)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        rc = main(["compare", "--config", str(config_path), "--out", str(work / "out")])
+        assert rc == 1
+        assert "utterance id" in capsys.readouterr().err
+        assert [p.name for p in work.iterdir()] == ["out"]
+        assert not any(p.suffix == ".uff" for p in (work / "out").rglob("*"))
 
 
 class TestMalformedInputsExit2:

@@ -532,6 +532,14 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="UTF-8"):
             load_params(path)
 
+    def test_repeated_name_is_format_error(self, tmp_path):
+        # A store with a repeated record used to load as one entry holding the last values.
+        record = struct.pack("<H", 1) + b"a" + struct.pack("<Id", 0, 1.0)
+        path = tmp_path / "twice.prm1"
+        path.write_bytes(PRM_MAGIC + struct.pack("<I", 2) + record + record)
+        with pytest.raises(FormatError, match="'a' appears twice"):
+            load_params(path)
+
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
@@ -539,8 +547,13 @@ def _same_bits(a, b) -> bool:
 
 
 def _closure_arrays(t: Tensor) -> list:
-    cells = t._backward_fn.__closure__ or ()
-    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+    """The arrays a result's closure holds, bare or in a list."""
+    held = []
+    for cell in t._backward_fn.__closure__ or ():
+        value = cell.cell_contents
+        held += [a for a in (value if isinstance(value, list) else [value])
+                 if isinstance(a, np.ndarray)]
+    return held
 
 
 def _pull(out: Tensor, g: np.ndarray) -> None:
@@ -660,12 +673,15 @@ class TestGraphHoldsOnlyWhatBackwardReads:
         assert held and all(a.size <= x.values.size // 2 for a in held)
 
     def test_frozen_conv2d_closure_holds_no_array_larger_than_input(self):
+        # A trainable weight keeps no im2col columns either: backward rebuilds them.
         local = np.random.default_rng(42)
         x = Tensor(local.normal(0, 1, (1, 8, 16)), requires_grad=True)
-        w = Tensor(local.normal(0, 1, (2, 1, 3, 4)))
-        b = Tensor(local.normal(0, 1, 2))
-        out = conv2d(x, w, b, (2, 2), (1, 1))
-        assert all(a.size <= x.values.size for a in _closure_arrays(out))
+        for trainable in (False, True):
+            w = Tensor(local.normal(0, 1, (2, 1, 3, 4)), requires_grad=trainable)
+            b = Tensor(local.normal(0, 1, 2), requires_grad=trainable)
+            out = conv2d(x, w, b, (2, 2), (1, 1))
+            held = _closure_arrays(out)
+            assert held and all(a.size <= x.values.size for a in held)
 
     @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
     @pytest.mark.parametrize("weight_trainable", [False, True])
