@@ -15,6 +15,7 @@ from prosodia.errors import ProsodiaError, ValidationError
 from prosodia.cli import pipeline
 from prosodia.cli.config import CLI_MODES, MODE_BASELINE, RunConfig, load_run_config
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
+from prosodia.cyclegan.convert import reconstruct_f0
 from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
 from prosodia.features import load_corpus, read_feature_file, write_feature_file
 from prosodia.features.uff import UtteranceFeatures
@@ -212,7 +213,7 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError(
             f"reference has {reference.n_frames} frames, cache has {matrix.n_frames}"
         )
-    f0 = pipeline.reconstruct_from_cache(matrix, stats, voicing)
+    f0 = reconstruct_f0(matrix, stats, voicing)
     out = UtteranceFeatures(
         utterance_id=reference.utterance_id,
         emotion_label=reference.emotion_label,

@@ -30,16 +30,7 @@ from prosodia.features import (
     write_feature_file,
 )
 from prosodia.jsonio import from_json, read_json, write_json
-from prosodia.prosody import (
-    CwtMatrix,
-    NormStats,
-    WaveletParams,
-    cwt_decompose,
-    cwt_reconstruct,
-    denormalize_log_f0,
-    pooled_log_f0_stats,
-    preprocess_f0,
-)
+from prosodia.prosody import WaveletParams, cwt_decompose, pooled_log_f0_stats, preprocess_f0
 
 log = logging.getLogger("prosodia")
 
@@ -257,15 +248,6 @@ def _load_checked(ckpt, mode: str, flag: str, system: str, target: str | None = 
             f"other {system} checkpoint has {target!r}"
         )
     return loaded
-
-
-def reconstruct_from_cache(matrix: CwtMatrix, stats: NormStats, voicing) -> np.ndarray:
-    rec = cwt_reconstruct(matrix)
-    std = float(rec.std())
-    if std == 0.0:
-        raise ValidationError("cached coefficients reconstruct to a constant contour")
-    rec = (rec - rec.mean()) / std
-    return denormalize_log_f0(rec, stats, voicing)
 
 
 def convert_directory(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from prosodia.errors import FormatError, ValidationError
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.jsonio import from_json, read_json, write_json
 from prosodia.nn.checkpoint import load_params, save_params
-from prosodia.nn.network import NetworkConfig, layout_size, param_layout
+from prosodia.nn.network import NetworkConfig, layers, param_layout
 from prosodia.prosody.cwt import WaveletParams
 from prosodia.prosody.f0 import NormStats
 
@@ -83,8 +84,8 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     """Load a checkpoint directory written by ``save_model_checkpoint``.
 
     Generator stores must hold exactly the parameters, with the shapes,
-    that the stored ``gen_config`` builds; layer counts that name more
-    parameters than ``g_xy`` holds are rejected before any layout is built.
+    that the stored ``gen_config``'s layer table names; a table with more
+    layers than ``g_xy`` holds parameters is rejected before it is built.
     Each ``feature_stats`` vector must hold one value per generator channel.
     Discriminator stores are not checked: stores written before the
     bias-on-every-layer layout still load (see ``prosodia.nn.network``).
@@ -107,10 +108,12 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
         if not path.exists():
             raise ValidationError(f"{directory}: missing parameter file {fname}")
         stores[key] = load_params(path)
-    if layout_size(meta.gen_config) > len(stores["g_xy"]):
+    # Every layer has a weight: count one layer past what g_xy holds, no more.
+    held = len(stores["g_xy"])
+    if len(list(itertools.islice(layers(meta.gen_config), held + 1))) > held:
         raise FormatError(
             f"{directory / STORE_FILES['g_xy']}: the stored gen_config names more "
-            f"parameters than the {len(stores['g_xy'])} it holds"
+            f"parameters than the {held} it holds"
         )
     layout = param_layout(meta.gen_config)
     for key in ("g_xy", "g_yx"):

@@ -64,13 +64,9 @@ def convert_utterance(
         conv_mceps = spectrum_model.convert(mceps)
         conv_coeffs = prosody_model.convert(decomposed.coeffs)
 
-    reconstructed = cwt_reconstruct(CwtMatrix(coeffs=conv_coeffs, params=wavelet))
-    std = float(reconstructed.std())
-    if std == 0.0:
-        raise NumericError("converted contour is constant; cannot re-normalize")
-    renormalized = (reconstructed - reconstructed.mean()) / std
     stats = contour.stats if stats_policy == STATS_SOURCE else target_stats
-    f0 = denormalize_log_f0(renormalized, stats, contour.voicing_mask)
+    matrix = CwtMatrix(coeffs=conv_coeffs, params=wavelet)
+    f0 = reconstruct_f0(matrix, stats, contour.voicing_mask)
 
     return UtteranceFeatures(
         utterance_id=utt.utterance_id,
@@ -79,3 +75,16 @@ def convert_utterance(
         mceps=conv_mceps.astype(np.float32),
         f0_hz=f0.astype(np.float32),
     )
+
+
+def reconstruct_f0(matrix: CwtMatrix, stats: NormStats, voicing) -> np.ndarray:
+    """F0 in Hz, zero where not ``voicing``, from wavelet coefficients of log-F0.
+
+    Synthesis loses amplitude, so the contour is z-scored before ``stats`` are inverted.
+    """
+    reconstructed = cwt_reconstruct(matrix)
+    std = float(reconstructed.std())
+    if std == 0.0:
+        raise NumericError("reconstructed contour is constant; cannot re-normalize")
+    renormalized = (reconstructed - reconstructed.mean()) / std
+    return denormalize_log_f0(renormalized, stats, voicing)

@@ -1,5 +1,9 @@
 """Network topologies: gated 1-D generators and 2-D patch discriminators.
 
+Each topology has one description, its layer table ``layers(config)``: one
+``Layer`` per convolution, in forward order. ``param_layout`` (and so
+``init_params``), both forwards and the checkpoint reader's check read it.
+
 Generators preserve the channels x frames shape: an input convolution, two
 stride-2 downsampling stages, residual blocks at the bottleneck, two
 nearest-neighbour upsampling stages, and a raw output convolution. Hidden
@@ -20,7 +24,9 @@ Such checkpoints still convert, because inference runs only generators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,76 +174,85 @@ def stack_params(*stores: ParamStore) -> ParamStore:
     return ParamStore(dict(zip(names, stacked)))
 
 
-def _gen_widths(config: NetworkConfig) -> list[int]:
-    """Channel widths after the input conv and each downsampling stage."""
-    b = config.base_channels
-    return [b] + [min(b * 2**j, 2 * b) for j in range(1, config.n_downsample + 1)]
+GLU, LEAKY = "glu", "leaky"  # activations
+SAVE, ADD = "save", "add"  # residual skips
 
 
-def _disc_widths(config: NetworkConfig) -> list[int]:
+class Layer(NamedTuple):
+    """One convolution, weight ``<name>.w``, and the ops around it.
+
+    A conv that feeds the instance norm ``norm`` (``<norm>.gain``, ``.bias``)
+    is bias-free, as the norm's mean removal would zero that bias's gradient;
+    any other carries ``<name>.b``. ``c_out`` is twice the layer's under a GLU.
+    """
+
+    name: str
+    c_in: int
+    c_out: int
+    kernel: tuple  # (k,) for conv1d, (kh, kw) for conv2d
+    stride: int | tuple
+    padding: int | tuple
+    norm: str | None = None
+    activation: str | None = None  # GLU, LEAKY or None, after the norm
+    upsample: bool = False  # nearest-neighbour x2 on the input, first of all
+    skip: str | None = None  # SAVE the input, or ADD the saved one, last of all
+
+
+def layers(config: NetworkConfig):
+    """``config``'s network, one ``Layer`` per convolution in forward order.
+
+    Lazy, so a reader can count a stored config's layers up to a bound:
+    stored counts can be far too large to build a table for.
+    """
     b = config.base_channels
-    return [b, 2 * b, 4 * b, 1]
+    if config.kind == DISCRIMINATOR_KIND:
+        # No norm, and a bias on every conv (see the module docstring).
+        widths = (1, b, 2 * b, 4 * b, 1)
+        for j in range(1, 5):
+            kh, kw = config.kernel_sizes[j - 1]
+            yield Layer(f"layer{j}", widths[j - 1], widths[j], (kh, kw), (2, 2),
+                        ((kh - 1) // 2, (kw - 1) // 2), activation=LEAKY if j < 4 else None)
+        return
+
+    def width(stage):  # after the input conv (stage 0) and each downsampling stage
+        return b * min(stage + 1, 2)
+
+    def conv(name, c_in, c_out, k, norm=None, activation=None, stride=1, **extra):
+        return Layer(name, c_in, c_out, (k,), stride, k // 2, norm, activation, **extra)
+
+    k_in, k_down, k_res, k_up, k_out = config.kernel_sizes
+    n_down, n_up = config.n_downsample, config.n_upsample
+    yield conv("in", config.in_channels, 2 * width(0), k_in, "in.norm", GLU)
+    for j in range(1, n_down + 1):
+        yield conv(f"down{j}", width(j - 1), 2 * width(j), k_down, f"down{j}.norm", GLU, 2)
+    bottleneck = width(n_down)
+    for r in range(1, config.n_residual + 1):
+        yield conv(f"res{r}.conv1", bottleneck, 2 * bottleneck, k_res, f"res{r}.norm1", GLU,
+                   skip=SAVE)
+        yield conv(f"res{r}.conv2", bottleneck, bottleneck, k_res, f"res{r}.norm2", skip=ADD)
+    for j in range(1, n_up + 1):
+        yield conv(f"up{j}", width(n_up - j + 1), 2 * width(n_up - j), k_up, f"up{j}.norm", GLU,
+                   upsample=True)
+    yield conv("out", width(0), config.in_channels, k_out)
+
+
+@functools.lru_cache(maxsize=32)
+def _table(config: NetworkConfig) -> tuple:
+    """``layers(config)`` built once, for the forwards' every call."""
+    return tuple(layers(config))
 
 
 def param_layout(config: NetworkConfig) -> dict[str, tuple]:
-    """Parameter names and shapes, in the order ``init_params`` draws them.
-
-    Convolutions feeding a norm layer are bias-free: the norm removes
-    per-channel means, so such a bias would have an identically zero
-    gradient. Computing the layout draws no weights.
-    """
+    """Parameter names and shapes, in the order ``init_params`` draws them; draws none."""
     layout: dict[str, tuple] = {}
-
-    def conv_w(name, c_out, c_in, *kernel, bias=True):
-        layout[f"{name}.w"] = (c_out, c_in, *kernel)
-        if bias:
-            layout[f"{name}.b"] = (c_out,)
-
-    def norm(name, channels):
-        layout[f"{name}.gain"] = (channels,)
-        layout[f"{name}.bias"] = (channels,)
-
-    if config.kind == GENERATOR_KIND:
-        k_in, k_down, k_res, k_up, k_out = config.kernel_sizes
-        widths = _gen_widths(config)
-        conv_w("in", 2 * widths[0], config.in_channels, k_in, bias=False)
-        norm("in.norm", 2 * widths[0])
-        for j in range(1, config.n_downsample + 1):
-            conv_w(f"down{j}", 2 * widths[j], widths[j - 1], k_down, bias=False)
-            norm(f"down{j}.norm", 2 * widths[j])
-        bottleneck = widths[-1]
-        for r in range(1, config.n_residual + 1):
-            conv_w(f"res{r}.conv1", 2 * bottleneck, bottleneck, k_res, bias=False)
-            norm(f"res{r}.norm1", 2 * bottleneck)
-            conv_w(f"res{r}.conv2", bottleneck, bottleneck, k_res, bias=False)
-            norm(f"res{r}.norm2", bottleneck)
-        for j in range(1, config.n_upsample + 1):
-            c_in = widths[config.n_upsample - j + 1]
-            c_out = widths[config.n_upsample - j]
-            conv_w(f"up{j}", 2 * c_out, c_in, k_up, bias=False)
-            norm(f"up{j}.norm", 2 * c_out)
-        conv_w("out", config.in_channels, widths[0], k_out)
-    else:
-        # No norm on any layer, and a bias on every conv: scale information
-        # must reach the patch scores or the adversarial objective cannot
-        # match feature magnitudes (see the module docstring).
-        c_prev = 1
-        for j, c_out in enumerate(_disc_widths(config), start=1):
-            conv_w(f"layer{j}", c_out, c_prev, *config.kernel_sizes[j - 1])
-            c_prev = c_out
+    for layer in _table(config):
+        layout[f"{layer.name}.w"] = (layer.c_out, layer.c_in, *layer.kernel)
+        if layer.norm is None:
+            layout[f"{layer.name}.b"] = (layer.c_out,)
+        else:
+            layout[f"{layer.norm}.gain"] = (layer.c_out,)
+            layout[f"{layer.norm}.bias"] = (layer.c_out,)
     return layout
-
-
-def layout_size(config: NetworkConfig) -> int:
-    """How many parameters ``param_layout(config)`` names, counted without building it.
-
-    Stored configs are outside input: their counts can be far too large to
-    build a layout for, so a reader compares this against what it holds.
-    """
-    if config.kind == GENERATOR_KIND:
-        # in and out, plus three per down/upsampling stage and six per residual block
-        return 5 + 3 * (config.n_downsample + config.n_upsample) + 6 * config.n_residual
-    return 2 * len(_disc_widths(config))
 
 
 def init_params(config: NetworkConfig, seed: int) -> ParamStore:
@@ -274,30 +289,7 @@ def forward_generator(params: ParamStore, config: NetworkConfig, x: Tensor) -> T
         raise ValidationError(
             f"generator frame count must be a positive multiple of {factor}, got {frames}"
         )
-    lead = x.values.ndim - 2
-    k_in, k_down, k_res, k_up, k_out = config.kernel_sizes
-
-    h = conv1d(x, params["in.w"], None, stride=1, padding=k_in // 2)
-    h = glu(instance_norm(h, params["in.norm.gain"], params["in.norm.bias"]), lead)
-    for j in range(1, config.n_downsample + 1):
-        h = conv1d(h, params[f"down{j}.w"], None, stride=2, padding=k_down // 2)
-        h = glu(
-            instance_norm(h, params[f"down{j}.norm.gain"], params[f"down{j}.norm.bias"]), lead
-        )
-    for r in range(1, config.n_residual + 1):
-        skip = h
-        h = conv1d(h, params[f"res{r}.conv1.w"], None, 1, k_res // 2)
-        h = glu(
-            instance_norm(h, params[f"res{r}.norm1.gain"], params[f"res{r}.norm1.bias"]), lead
-        )
-        h = conv1d(h, params[f"res{r}.conv2.w"], None, 1, k_res // 2)
-        h = instance_norm(h, params[f"res{r}.norm2.gain"], params[f"res{r}.norm2.bias"])
-        h = add(h, skip)
-    for j in range(1, config.n_upsample + 1):
-        h = upsample2(h)
-        h = conv1d(h, params[f"up{j}.w"], None, stride=1, padding=k_up // 2)
-        h = glu(instance_norm(h, params[f"up{j}.norm.gain"], params[f"up{j}.norm.bias"]), lead)
-    return conv1d(h, params["out.w"], params["out.b"], stride=1, padding=k_out // 2)
+    return _forward(params, config, x, conv1d, x.values.ndim - 2)
 
 
 def forward_discriminator(params: ParamStore, config: NetworkConfig, x: Tensor) -> Tensor:
@@ -316,17 +308,25 @@ def forward_discriminator(params: ParamStore, config: NetworkConfig, x: Tensor) 
         raise ValidationError(
             f"discriminator input must be [..., 1, {config.in_channels}, frames], got {x.shape}"
         )
-    h = x
-    n_layers = len(_disc_widths(config))
-    for j in range(1, n_layers + 1):
-        kh, kw = config.kernel_sizes[j - 1]
-        h = conv2d(
-            h,
-            params[f"layer{j}.w"],
-            params[f"layer{j}.b"],
-            stride=(2, 2),
-            padding=((kh - 1) // 2, (kw - 1) // 2),
-        )
-        if j < n_layers:
+    return _forward(params, config, x, conv2d, None)
+
+
+def _forward(params: ParamStore, config: NetworkConfig, x: Tensor, conv, lead) -> Tensor:
+    """Run ``config``'s layer table over ``x`` with ``conv``; ``lead`` is GLU's."""
+    h, skip = x, None
+    for layer in _table(config):
+        if layer.upsample:
+            h = upsample2(h)
+        if layer.skip == SAVE:
+            skip = h
+        bias = params[f"{layer.name}.b"] if layer.norm is None else None
+        h = conv(h, params[f"{layer.name}.w"], bias, stride=layer.stride, padding=layer.padding)
+        if layer.norm is not None:
+            h = instance_norm(h, params[f"{layer.norm}.gain"], params[f"{layer.norm}.bias"])
+        if layer.activation == GLU:
+            h = glu(h, lead)
+        elif layer.activation == LEAKY:
             h = leaky_relu(h, 0.2)
+        if layer.skip == ADD:
+            h = add(h, skip)
     return h

@@ -15,7 +15,7 @@ Tensor's ``values``. A gradient target is an input's node if an op recorded
 that input, the input Tensor itself if it is a leaf, whose ``grad`` Adam
 reads, or a :class:`_Stack` if it is a stacked parameter (below). Each
 closure holds the arrays its backward reads and nothing else: operand
-arrays for ``mul``, ``matmul``, ``square`` and ``absolute``, only shapes for
+arrays for ``mul``, ``square`` and ``absolute``, only shapes for
 the adds, ``scale``, ``take``, ``mean`` and ``total``, a boolean mask
 instead of a float factor for leaky ReLU, the ungated half for GLU, and
 for a convolution the input array, never im2col columns: backward rebuilds
@@ -42,7 +42,7 @@ fixed are told where it starts: ``glu`` and ``mean`` take the number of
 leading axes, and ``instance_norm`` reads it from its gain, which carries
 the same leading axes as its input.
 
-A stacked parameter (``stack_leaves``, ``stack_arena``) is one Tensor over
+A stacked parameter (``stack_arena``) is one Tensor over
 columns of an :class:`Arena`, values [M, N] whose row i holds the parameters
 of model i side by side; its slices are the ``values`` of M leaves, so a
 stacked call copies no weights. Its gradient lands in place, in the same
@@ -221,47 +221,29 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def stack_leaves(leaves) -> Tensor:
-    """One stacked parameter over same-shape leaves; see the module docstring.
-
-    Copies the leaves' values into one buffer [len(leaves), ...] once and
-    rebinds each leaf's ``values`` to its slice, so the leaves keep their
-    identity (optimizer state, checkpoints and single-model calls read them
-    as before) while sharing memory with the result. In-place updates of a
-    leaf are updates of the buffer; replacing a leaf's array unlinks it.
-    Leaves that already are the slices of one buffer, in order, keep it.
-    """
-    leaves = tuple(leaves)
-    _check_shapes(leaves)
-    buffer = leaves[0].values.base
-    if buffer is None or buffer.shape != (len(leaves),) + leaves[0].shape or not _laid_out(
-        [leaves], buffer
-    ):
-        buffer = np.stack([leaf.values for leaf in leaves])
-        for leaf, part in zip(leaves, buffer):
-            leaf.values = part
-    out = Tensor(buffer)
-    out._node = _Stack(leaves, Arena(buffer.reshape(len(leaves), -1)), 0)
-    return out
-
-
 def stack_arena(columns) -> tuple[Arena, list]:
     """Stacked parameters over M models, one arena for all; see the module docstring.
 
     ``columns`` lists, per parameter, its M leaves (one per model). The arena
-    is values [M, N] with each parameter's columns in ``columns`` order; each
-    leaf's ``values`` is rebound to its view of row i, after one copy. Leaves
-    already laid out that way in one array keep it. Returns the arena and
-    the stacked Tensors, views [M, ...] of their columns.
+    is values [M, N], in the leaves' dtype, with each parameter's columns in
+    ``columns`` order; each leaf's ``values`` is rebound to its view of row
+    i, after one copy, so the leaves keep their identity (optimizer state,
+    checkpoints and single-model calls read them as before) and an in-place
+    update of a leaf is one of the arena. Leaves already laid out that way
+    in one array keep it. Returns the arena and the stacked Tensors, views
+    [M, ...] of their columns.
     """
     columns = [tuple(leaves) for leaves in columns]
     for leaves in columns:
-        _check_shapes(leaves)
+        shapes = {leaf.shape for leaf in leaves}
+        if len(shapes) != 1:
+            raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
     m, n = len(columns[0]), sum(leaves[0].values.size for leaves in columns)
     owner = columns[0][0].values.base
     copy = owner is None or owner.shape != (m, n) or not _laid_out(columns, owner)
     if copy:
-        owner = np.empty((m, n))
+        dtype = np.result_type(*{leaf.values.dtype for leaves in columns for leaf in leaves})
+        owner = np.empty((m, n), dtype)
     arena, stacked, start = Arena(owner), [], 0
     for leaves in columns:
         stop = start + leaves[0].values.size
@@ -276,12 +258,6 @@ def stack_arena(columns) -> tuple[Arena, list]:
     return arena, stacked
 
 
-def _check_shapes(leaves) -> None:
-    shapes = {leaf.shape for leaf in leaves}
-    if len(shapes) != 1:
-        raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
-
-
 def _laid_out(columns, owner: np.ndarray) -> bool:
     """Whether each leaf i is a contiguous view of row i of ``owner``, in ``columns`` order."""
     base = owner.__array_interface__["data"][0]
@@ -293,7 +269,7 @@ def _laid_out(columns, owner: np.ndarray) -> bool:
             if (
                 v.base is not owner
                 or not v.flags.c_contiguous
-                or v.__array_interface__["data"][0] != base + i * row_bytes + 8 * start
+                or v.__array_interface__["data"][0] != base + i * row_bytes + owner.itemsize * start
             ):
                 return False
         start += leaves[0].values.size
@@ -511,16 +487,6 @@ def take(a: Tensor, index) -> Tensor:
         _accumulate(ta, ga)
 
     return _result(a.values[index], (ta,), grad_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ta, tb, av, bv = _target(a), _target(b), a.values, b.values
-
-    def grad_fn(g):
-        _accumulate(ta, g @ bv.T)
-        _accumulate(tb, av.T @ g)
-
-    return _result(av @ bv, (ta, tb), grad_fn)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:

@@ -9,6 +9,7 @@ re-normalize the reconstruction, so only relative scale balance matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,9 @@ class WaveletParams:
     def __post_init__(self):
         if self.s0 is None:
             object.__setattr__(self, "s0", 2 * self.tau0)
+        for name in ("tau0", "s0", "support_T", "dj"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tau0 > 0:
             raise ValidationError(f"tau0 must be > 0, got {self.tau0}")
         if self.n_scales < 1:
@@ -50,10 +54,20 @@ class WaveletParams:
             raise ValidationError(f"support_T must be > 0, got {self.support_T}")
         if self.ladder not in LADDERS:
             raise ValidationError(f"ladder must be one of {LADDERS}, got {self.ladder!r}")
+        try:  # the top scale's kernel half-length, in samples
+            half = self._scale(self.n_scales) / self.tau0 * self.support_T
+        except OverflowError:  # 2.0 ** n, or an int too large for a float
+            half = math.inf
+        if not math.isfinite(half):
+            raise ValidationError(
+                "the top scale's kernel length must be finite; lower n_scales, dj or support_T"
+            )
 
     def scales(self) -> np.ndarray:
         """Scale values in seconds, index i = 1..n_scales."""
-        i = np.arange(1, self.n_scales + 1)
+        return self._scale(np.arange(1, self.n_scales + 1))
+
+    def _scale(self, i):
         if self.ladder == "octave":
             return (2.0 ** (i + 1)) * self.tau0
         return self.s0 * 2.0 ** ((i - 1) * self.dj)

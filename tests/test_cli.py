@@ -137,6 +137,48 @@ class TestDecomposeReconstruct:
         )[0, 1]
         assert corr >= 0.90
 
+    @pytest.mark.parametrize(
+        "wavelet",
+        [
+            '{"ladder": "dj", "dj": NaN}',
+            '{"support_T": Infinity}',
+            '{"tau0": Infinity}',
+            '{"ladder": "dj", "s0": Infinity}',
+            '{"ladder": "dj", "dj": 1e308}',
+            '{"support_T": 1e308}',
+        ],
+        ids=["dj-nan", "support_T-inf", "tau0-inf", "s0-inf", "dj-1e308", "support_T-1e308"],
+    )
+    def test_non_finite_wavelet_exits_1(self, tiny_corpus, tmp_path, wavelet, capsys):
+        # Python's json reads NaN and Infinity; such a ladder once ended in a traceback.
+        src = sorted(tiny_corpus.parent.glob("*_A.uff"))[0]
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"wavelet": {wavelet}}}')
+        out = tmp_path / "dec"
+        rc = main(["decompose", "--config", str(config), "--input", str(src), "--out", str(out)])
+        assert rc == 1
+        assert "wavelet" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_cache_exits_2(self, tiny_corpus, tmp_path, capsys):
+        # reconstruct shares conversion's re-normalisation, and so its NumericError.
+        from prosodia.prosody import CwtMatrix, NormStats, WaveletParams
+        from prosodia.prosody.cwt_cache import write_cwt_cache
+
+        src = sorted(tiny_corpus.parent.glob("*_A.uff"))[0]
+        n_frames = read_feature_file(src).n_frames
+        cache = tmp_path / "flat.cwt"
+        write_cwt_cache(
+            cache, CwtMatrix(coeffs=np.zeros((10, n_frames)), params=WaveletParams()),
+            NormStats(mean=5.0, std=0.2), np.ones(n_frames, dtype=bool),
+        )
+        out = tmp_path / "rec.uff"
+        rc = main(["reconstruct", "--cache", str(cache), "--reference", str(src),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "constant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_unvoiced_input_fails_cleanly(self, tmp_path, capsys):
         from prosodia.features import UtteranceFeatures, write_feature_file
 

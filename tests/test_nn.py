@@ -9,6 +9,7 @@ import pytest
 
 from prosodia.errors import AutodiffError, FormatError, NumericError, ValidationError
 from prosodia.nn import (
+    GENERATOR_KIND,
     AdamState,
     Tensor,
     adam_step,
@@ -35,12 +36,11 @@ from prosodia.nn.tensor import (
     glu,
     instance_norm,
     leaky_relu,
-    matmul,
     mean,
     mul,
     scale,
     square,
-    stack_leaves,
+    stack_arena,
     sub,
     take,
     total,
@@ -81,6 +81,7 @@ class TestParamLayout:
             generator_config(5, base_channels=4),
             generator_config(34, base_channels=16, n_residual=2),
             discriminator_config(6, 4),
+            generator_config(5, base_channels=3, n_residual=0),
         ],
     )
     def test_matches_init_params(self, cfg):
@@ -88,6 +89,13 @@ class TestParamLayout:
         layout = param_layout(cfg)
         assert store.names() == list(layout)
         assert {name: p.shape for name, p in store} == layout
+        # The forward reads every parameter the layout names.
+        if cfg.kind == GENERATOR_KIND:
+            out = forward_generator(store, cfg, Tensor(np.ones((cfg.in_channels, 16))))
+        else:
+            out = forward_discriminator(store, cfg, Tensor(np.ones((1, cfg.in_channels, 16))))
+        backward(mean(square(out)))
+        assert [name for name, p in store if p.grad is None] == []
 
 
 class TestGeneratorShapes:
@@ -149,11 +157,12 @@ class TestDiscriminatorShapes:
 
 class TestBackward:
     def test_linear_map_gradient(self):
-        w = Tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
+        # A width-1 kernel over one frame is the linear map w @ x.
+        w = Tensor(rng.normal(0, 1, (2, 2, 1)), requires_grad=True)
         x = np.array([[3.0], [4.0]])
-        loss = total(matmul(w, Tensor(x)))
+        loss = total(conv1d(Tensor(x), w, None))
         backward(loss)
-        np.testing.assert_allclose(w.grad, np.tile(x.T, (2, 1)))
+        np.testing.assert_allclose(w.grad[..., 0], np.tile(x.T, (2, 1)))
 
     def test_unreachable_parameter_grad_untouched(self):
         used = Tensor(np.ones(3), requires_grad=True)
@@ -218,7 +227,6 @@ _DTYPE_OPS = {
     "mean": ([(4, 6)], mean),
     "total": ([(4, 6)], total),
     "take": ([(4, 6)], lambda a: take(a, [1, 0])),
-    "matmul": ([(4, 3), (3, 5)], matmul),
     "leaky_relu": ([(4, 6)], leaky_relu),
     "glu": ([(4, 6)], glu),
     "instance_norm": ([(4, 6), (4,), (4,)], instance_norm),
@@ -240,7 +248,7 @@ def _dtype_case(name, dtype):
     # Weights [2 models, ...] as stacked leaves, against inputs [2, 2 models, ...].
     x, w, b = _conv_case(op, local, weight_lead=(2,))
     return [a.astype(dtype) for a in (x, *w, *b)], lambda x, w0, w1, b0, b1: _conv(
-        op, x, stack_leaves((w0, w1)), stack_leaves((b0, b1))
+        op, x, *stack_arena([(w0, w1), (b0, b1)])[1]
     )
 
 
@@ -827,7 +835,7 @@ class TestStackedCalls:
     @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
     @pytest.mark.parametrize("weights", ["trainable", "frozen", "unfrozen_after_forward"])
     def test_stacked_weights_shared_by_samples(self, op, weights):
-        """Inputs [2 samples, 2 models, ...] against ``stack_leaves`` weights [2 models, ...].
+        """Inputs [2 samples, 2 models, ...] against ``stack_arena`` weights [2 models, ...].
 
         Each model's leaves get the sum over samples of what per-slice calls
         give them, in sample order, and each input slice its own gradient.
@@ -843,7 +851,7 @@ class TestStackedCalls:
         frozen = weights != "trainable"
         w_leaves, b_leaves = leaves(frozen)
         stacked_x = Tensor(x, requires_grad=True)
-        out = _conv(op, stacked_x, stack_leaves(w_leaves), stack_leaves(b_leaves))
+        out = _conv(op, stacked_x, *stack_arena([w_leaves, b_leaves])[1])
         if weights == "unfrozen_after_forward":
             for leaf in w_leaves + b_leaves:
                 leaf.requires_grad = True
@@ -862,18 +870,18 @@ class TestStackedCalls:
             assert (leaf.grad is None) == (weights == "frozen")
             assert leaf.grad is None or _same_bits(leaf.grad, ref.grad)
 
-    def test_stack_leaves_shares_and_keeps_one_buffer(self):
+    def test_stack_arena_shares_and_keeps_one_buffer(self):
         local = np.random.default_rng(63)
         a, b = (Tensor(local.normal(0, 1, (3, 4)), requires_grad=True) for _ in range(2))
         before = np.stack((a.values, b.values))
-        stacked = stack_leaves((a, b))
+        arena, (stacked,) = stack_arena([(a, b)])
         assert _same_bits(stacked.values, before)
-        a.values += 1.0  # an in-place update of a leaf is one of the buffer
+        a.values += 1.0  # an in-place update of a leaf is one of the arena
         assert _same_bits(stacked.values[0], before[0] + 1.0)
-        assert stack_leaves((a, b)).values is stacked.values
-        assert stack_leaves((b, a)).values is not stacked.values
+        assert stack_arena([(a, b)])[0].values is arena.values
+        assert stack_arena([(b, a)])[0].values is not arena.values
         with pytest.raises(ValidationError):
-            stack_leaves((a, Tensor(np.zeros(3))))
+            stack_arena([(a, Tensor(np.zeros(3)))])
 
     def test_stack_params_lays_stores_out_as_the_rows_of_one_arena(self):
         cfg = generator_config(3, base_channels=2, n_residual=1)
@@ -916,7 +924,7 @@ class TestStackedCalls:
             x = Tensor(local.normal(0, 1, (2, 4, 6)), requires_grad=True)
             gains = [Tensor(1.0 + 0.1 * local.normal(size=4), requires_grad=True) for _ in range(2)]
             biases = [Tensor(0.1 * local.normal(size=4), requires_grad=True) for _ in range(2)]
-            gain, bias = stack_leaves(gains), stack_leaves(biases)
+            gain, bias = stack_arena([gains, biases])[1]
             target = Tensor(local.normal(0, 1, (2, 4, 6)))
             loss = lambda: mean(square(sub(instance_norm(x, gain, bias), target)))  # noqa: E731
             params = _store(x=x, g0=gains[0], g1=gains[1], b0=biases[0], b1=biases[1])
@@ -925,7 +933,7 @@ class TestStackedCalls:
             x = Tensor(x_v, requires_grad=True)
             ws = [Tensor(v.copy(), requires_grad=True) for v in w_v]
             bs = [Tensor(v.copy(), requires_grad=True) for v in b_v]
-            w, b = stack_leaves(ws), stack_leaves(bs)
+            w, b = stack_arena([ws, bs])[1]
             loss = lambda: mean(square(_conv(op, x, w, b)))  # noqa: E731
             params = _store(x=x, w0=ws[0], w1=ws[1], b0=bs[0], b1=bs[1])
         err = finite_diff_check(loss, params, h=1e-6, n_probe=12, seed=5)
