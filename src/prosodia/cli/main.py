@@ -19,7 +19,7 @@ from prosodia.cyclegan.convert import reconstruct_f0
 from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
 from prosodia.features import load_corpus, read_feature_file, write_feature_file
 from prosodia.features.uff import UtteranceFeatures
-from prosodia.jsonio import from_json, json_text, read_json, write_json
+from prosodia.jsonio import json_text, read_record, write_json
 from prosodia.metrics import evaluate_pairs, read_report_csv, write_report_csv
 from prosodia.prosody import (
     cwt_decompose,
@@ -116,18 +116,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValidationError,) as err:
+    except (ProsodiaError, OSError) as err:
         log.error("%s", err)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ProsodiaError as err:
-        log.error("%s", err)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as err:
-        log.error("%s", err)
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        print(f"{'i/o error' if isinstance(err, OSError) else 'error'}: {err}", file=sys.stderr)
+        return EXIT_VALIDATION if isinstance(err, ValidationError) else EXIT_RUNTIME
 
 
 def _dispatch(args) -> int:
@@ -159,13 +151,10 @@ def _config_overrides(args) -> dict:
 
 def cmd_synth_corpus(args) -> int:
     if args.synth_spec:
-        raw = read_json(args.synth_spec, ValidationError)
-        raw.setdefault("n_train_each", args.n_train)
-        raw.setdefault("n_eval", args.n_eval)
-        try:
-            spec = from_json(SynthCorpusSpec, raw)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValidationError(f"{args.synth_spec}: malformed synth spec ({err!r})") from err
+        spec = read_record(
+            args.synth_spec, SynthCorpusSpec, ValidationError,
+            defaults={"n_train_each": args.n_train, "n_eval": args.n_eval},
+        )
     else:
         spec = SynthCorpusSpec(n_train_each=args.n_train, n_eval=args.n_eval)
     with pipeline.OutputDir(args.out) as out:

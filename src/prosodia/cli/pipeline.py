@@ -29,7 +29,7 @@ from prosodia.features import (
     make_nonparallel_split,
     write_feature_file,
 )
-from prosodia.jsonio import from_json, read_json, write_json
+from prosodia.jsonio import read_record, write_json
 from prosodia.prosody import WaveletParams, cwt_decompose, pooled_log_f0_stats, preprocess_f0
 
 log = logging.getLogger("prosodia")
@@ -167,12 +167,7 @@ def load_lg_stats(ckpt_dir) -> BaselineStats:
     path = Path(ckpt_dir) / LG_STATS_FILE
     if not path.exists():
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
-    try:
-        return from_json(BaselineStats, read_json(path, FormatError))
-    except KeyError as err:
-        raise FormatError(f"{path}: missing required key {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{path}: malformed statistics ({err})") from err
+    return read_record(path, BaselineStats, FormatError)
 
 
 def load_system(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from prosodia.errors import FormatError, ValidationError
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
-from prosodia.jsonio import from_json, read_json, write_json
+from prosodia.jsonio import read_record, write_json
 from prosodia.nn.checkpoint import load_params, save_params
 from prosodia.nn.network import NetworkConfig, layers, param_layout
 from prosodia.prosody.cwt import WaveletParams
@@ -96,12 +96,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     meta_path = directory / METADATA_FILE
     if not meta_path.exists():
         raise ValidationError(f"{directory}: missing {METADATA_FILE}; not a checkpoint directory")
-    try:
-        meta = from_json(Metadata, read_json(meta_path, FormatError))
-    except KeyError as err:
-        raise FormatError(f"{meta_path}: missing required key {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{meta_path}: malformed metadata ({err})") from err
+    meta = read_record(meta_path, Metadata, FormatError)
     stores = {}
     for key, fname in STORE_FILES.items():
         path = directory / fname

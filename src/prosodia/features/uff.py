@@ -8,19 +8,18 @@ Layout, little-endian:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from prosodia.errors import FormatError, ValidationError
+from prosodia.binio import Reader, Writer, read_file
+from prosodia.errors import ValidationError
 
 UFF_MAGIC = b"UFF1"
 UFF_VERSION = 1
 MCEP_DIM = 24
 
-_HEADER = struct.Struct("<4sIIId")
+_HEADER = "<IIId"  # after the magic: version, frame count, mcep dim, frame period
 
 
 @dataclass(frozen=True)
@@ -83,68 +82,30 @@ class UtteranceFeatures:
         )
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValidationError(f"string too long for u16 length prefix: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
-
-
 def write_feature_file(features: UtteranceFeatures, path) -> None:
     """Serialize ``features`` to ``path`` in the UFF binary format."""
-    n = features.n_frames
-    blob = bytearray()
-    blob += _HEADER.pack(UFF_MAGIC, UFF_VERSION, n, MCEP_DIM, features.frame_period_ms)
-    blob += _pack_str(features.emotion_label)
-    blob += _pack_str(features.utterance_id)
-    blob += features.mceps.T.tobytes()  # frame-major
-    blob += features.f0_hz.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    out = Writer(UFF_MAGIC)
+    out.pack(_HEADER, UFF_VERSION, features.n_frames, MCEP_DIM, features.frame_period_ms)
+    out.text(features.emotion_label)
+    out.text(features.utterance_id)
+    out.array(features.mceps.T, "<f4")  # frame-major
+    out.array(features.f0_hz, "<f4")
+    out.save(path)
 
 
 def read_feature_file(path) -> UtteranceFeatures:
     """Read and validate a UFF file, returning the stored features."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: file too short for UFF header ({len(data)} bytes)")
-    magic, version, n, mcep_dim, frame_period = _HEADER.unpack_from(data, 0)
-    if magic != UFF_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {UFF_MAGIC!r}")
+    return read_file(path, UFF_MAGIC, _decode)
+
+
+def _decode(r: Reader) -> UtteranceFeatures:
+    version, n, mcep_dim, frame_period = r.unpack(_HEADER, "header")
     if version != UFF_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}, expected {UFF_VERSION}")
+        raise r.error(f"unsupported version {version}, expected {UFF_VERSION}")
     if mcep_dim != MCEP_DIM:
-        raise ValidationError(f"{path}: mcep_dim {mcep_dim} unsupported, expected {MCEP_DIM}")
-    off = _HEADER.size
-    emotion, off = _read_str(data, off, path)
-    utt_id, off = _read_str(data, off, path)
-    expected = n * MCEP_DIM * 4 + n * 4
-    actual = len(data) - off
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload byte count mismatch, expected {expected}, got {actual}"
-        )
-    # Copies: a view would keep the whole file's bytes alive with the utterance.
-    mceps = np.frombuffer(data, dtype="<f4", count=n * MCEP_DIM, offset=off)
-    off += n * MCEP_DIM * 4
-    f0 = np.frombuffer(data, dtype="<f4", count=n, offset=off)
-    return UtteranceFeatures(
-        utterance_id=utt_id,
-        emotion_label=emotion,
-        frame_period_ms=frame_period,
-        mceps=mceps.reshape(n, MCEP_DIM).T.copy(),
-        f0_hz=f0.copy(),
-    )
-
-
-def _read_str(data: bytes, off: int, path) -> tuple[str, int]:
-    if off + 2 > len(data):
-        raise FormatError(f"{path}: truncated string length field")
-    (length,) = struct.unpack_from("<H", data, off)
-    off += 2
-    if off + length > len(data):
-        raise FormatError(f"{path}: truncated string payload")
-    try:
-        text = data[off : off + length].decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise FormatError(f"{path}: string is not UTF-8 ({err})") from err
-    return text, off + length
+        raise r.error(f"mcep_dim {mcep_dim} unsupported, expected {MCEP_DIM}")
+    emotion, utt_id = r.text("emotion label"), r.text("utterance id")
+    mceps = r.array("<f4", (n, MCEP_DIM), "mceps").T.copy()  # coefficient-major, owned
+    f0 = r.array("<f4", (n,), "f0")
+    return UtteranceFeatures(utterance_id=utt_id, emotion_label=emotion,
+                             frame_period_ms=frame_period, mceps=mceps, f0_hz=f0)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from prosodia.errors import ValidationError
+
 # Field metadata for a key a file must give although code may omit it.
 REQUIRED = {"json_required": True}
 
@@ -120,6 +122,20 @@ def read_json(path, error: type[Exception], expect: type = dict):
     if not isinstance(data, expect):
         raise error(f"{path}: expected a JSON {_JSON_TYPES[expect]}, got {type(data).__name__}")
     return data
+
+
+def read_record(path, cls, error: type[Exception], defaults: dict | None = None):
+    """A ``cls`` from the JSON object at ``path``, over ``defaults`` for keys it leaves out.
+
+    Any malformed file, down to a value ``cls`` rejects, raises ``error`` naming it.
+    """
+    data = {**(defaults or {}), **read_json(path, error)}
+    try:
+        return from_json(cls, data)
+    except KeyError as err:
+        raise error(f"{path}: missing required key {err.args[0]!r}") from err
+    except (TypeError, ValueError, ValidationError) as err:
+        raise error(f"{path}: malformed {cls.__name__} ({err})") from err
 
 
 def json_text(obj) -> str:

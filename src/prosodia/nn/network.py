@@ -74,6 +74,14 @@ class NetworkConfig:
                 )
             if len(self.kernel_sizes) != 5:
                 raise ValidationError("generator kernel_sizes must list 5 entries")
+        elif len(self.kernel_sizes) != 4 or not all(
+            isinstance(k, tuple) and len(k) == 2 and all(type(v) is int and v >= 1 for v in k)
+            for k in self.kernel_sizes
+        ):
+            raise ValidationError(
+                f"discriminator kernel_sizes must list 4 (height, width) pairs of ints >= 1, "
+                f"got {self.kernel_sizes!r}"
+            )
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
 
 

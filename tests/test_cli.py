@@ -179,6 +179,19 @@ class TestDecomposeReconstruct:
         assert "constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", ["mcep_dim_23", "nan_f0"])
+    def test_malformed_uff_exits_2_naming_it(self, tiny_corpus, tmp_path, edit, capsys):
+        data = bytearray(sorted(tiny_corpus.parent.glob("*_A.uff"))[0].read_bytes())
+        if edit == "mcep_dim_23":
+            struct.pack_into("<I", data, 12, 23)  # after magic, version and frame count
+        else:
+            struct.pack_into("<f", data, len(data) - 4, float("nan"))  # the last F0 value
+        bad = tmp_path / "bad.uff"
+        bad.write_bytes(bytes(data))
+        rc = main(["decompose", "--input", str(bad), "--out", str(tmp_path / "dec")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_all_unvoiced_input_fails_cleanly(self, tmp_path, capsys):
         from prosodia.features import UtteranceFeatures, write_feature_file
 
@@ -231,7 +244,7 @@ class TestCwtCache:
         with pytest.raises(FormatError, match="ladder"):
             read_cwt_cache(path)
 
-    def test_cli_exits_2_on_malformed_cache(self, cache_bytes, tmp_path):
+    def test_cli_exits_2_on_malformed_cache(self, cache_bytes, tmp_path, capsys):
         from prosodia.features import UtteranceFeatures, write_feature_file
 
         reference = tmp_path / "ref.uff"
@@ -248,17 +261,26 @@ class TestCwtCache:
         for name, blob in (
             ("short.cwt", cache_bytes[:40]),
             ("ladder.cwt", _with_ladder_code(cache_bytes, 7)),
+            ("tau0.cwt", _with_header_f64(cache_bytes, 0, -1.0)),
+            ("std.cwt", _with_header_f64(cache_bytes, 5, float("nan"))),
         ):
             cache = tmp_path / name
             cache.write_bytes(blob)
             rc = main(["reconstruct", "--cache", str(cache), "--reference", str(reference),
                        "--out", str(tmp_path / "rec.uff")])
             assert rc == 2, name
+            assert name in capsys.readouterr().err
 
 
 def _with_ladder_code(blob: bytes, code: int) -> bytes:
     offset = 4 + struct.calcsize("<IIIdddd")
     return blob[:offset] + bytes([code]) + blob[offset + 1 :]
+
+
+def _with_header_f64(blob: bytes, index: int, value: float) -> bytes:
+    """``blob`` with header float ``index`` replaced: tau0, dj, s0, support_T, mean, std."""
+    offset = 4 + struct.calcsize("<III") + 8 * index + (index >= 4)  # the ladder code's byte
+    return blob[:offset] + struct.pack("<d", value) + blob[offset + 8 :]
 
 
 class TestTrainCommand:

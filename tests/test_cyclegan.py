@@ -679,6 +679,28 @@ class TestCheckpointDirectory:
         with pytest.raises(FormatError, match="JSON object"):
             load_model_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("wavelet", "tau0", -1.0),
+            ("stats", "target_log_f0", {"mean": 5.6, "std": 0.0}),
+            ("gen_config", "kernel_sizes", [15, 5, 3, 5]),
+            ("disc_config", "kernel_sizes", [[3, 4]] * 3),
+            ("disc_config", "kernel_sizes", [[3]] * 4),
+            ("disc_config", "kernel_sizes", [[0, 0]] * 4),
+        ],
+        ids=["tau0", "target_std", "gen_kernels", "disc_3_kernels", "disc_1d_kernels",
+             "disc_zero_kernels"],
+    )
+    def test_value_the_dataclass_rejects_is_format_error(self, tmp_path, section, key, value):
+        # Each once escaped as a ValidationError naming no file.
+        meta = self._saved(tmp_path)
+        metadata = json.loads(meta.read_text())
+        metadata[section][key] = value
+        meta.write_text(json.dumps(metadata))
+        with pytest.raises(FormatError, match="metadata.json"):
+            load_model_checkpoint(tmp_path)
+
     def test_generator_store_must_match_gen_config(self, tmp_path):
         meta = self._saved(tmp_path)
         metadata = json.loads(meta.read_text())

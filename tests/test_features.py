@@ -144,7 +144,7 @@ class TestFormatErrors:
         data = path.read_bytes()
         for end in range(len(data)):
             path.write_bytes(data[:end])
-            with pytest.raises((FormatError, ValidationError)):
+            with pytest.raises(FormatError):
                 read_feature_file(path)
 
 

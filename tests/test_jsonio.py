@@ -16,8 +16,8 @@ from prosodia.cli.pipeline import BaselineStats, load_lg_stats
 from prosodia.cli.synth import SynthCorpusSpec
 from prosodia.cyclegan import LossWeights, TrainSchedule, load_model_checkpoint, save_model_checkpoint
 from prosodia.cyclegan.checkpoint import Metadata
-from prosodia.errors import ValidationError
-from prosodia.jsonio import from_json, read_json, to_json, write_json
+from prosodia.errors import FormatError, ValidationError
+from prosodia.jsonio import from_json, read_json, read_record, to_json, write_json
 from prosodia.prosody import NormStats
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -172,11 +172,18 @@ def test_edge_value_at_any_config_key_raises_only_validation_error():
             )
 
 
+# The one error each file's reader raises for any malformed file.
+READ_ERRORS = {Metadata: FormatError, BaselineStats: FormatError, SynthCorpusSpec: ValidationError}
+
+
 @pytest.mark.parametrize("cls", DOCUMENTS, ids=lambda c: c.__name__)
 @given(data=st.data())
-def test_from_json_raises_only_what_readers_map(cls, data):
+def test_from_json_raises_only_what_readers_map(tmp_path_factory, cls, data):
     doc = data.draw(edits(DOCUMENTS[cls]) | JSON_VALUES)
     raises_only(lambda: from_json(cls, doc), MAPPED, doc)
+    path = tmp_path_factory.getbasetemp() / f"{cls.__name__}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    raises_only(lambda: read_record(path, cls, READ_ERRORS[cls]), READ_ERRORS[cls], doc)
 
 
 @given(
