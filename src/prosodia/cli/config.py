@@ -10,12 +10,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from prosodia.errors import ValidationError
-from prosodia.cyclegan.model import TRAINING_MODES, LossWeights, TrainSchedule
+from prosodia.cyclegan.convert import STATS_SOURCE, STATS_TARGET
+from prosodia.cyclegan.model import MODE_SPECTRUM, MODES, LossWeights, TrainSchedule
 from prosodia.jsonio import REQUIRED, from_json, read_json
+from prosodia.metrics import ALIGN_LINEAR, ALIGN_NONE
 from prosodia.prosody.cwt import WaveletParams
 
 MODE_BASELINE = "baseline"
-CLI_MODES = ("spectrum", "prosody", "joint", "baseline")
+CLI_MODES = (*(mode.name for mode in MODES.values()), MODE_BASELINE)
+# Each spelling a run config accepts, and the name it stands for.
+MODE_NAMES = {
+    **{mode.name: stored for stored, mode in MODES.items()},
+    MODE_BASELINE: MODE_BASELINE,
+    **{stored: stored for stored in MODES},
+}
+STATS_POLICIES = {STATS_SOURCE: STATS_SOURCE, STATS_TARGET: STATS_TARGET}
+ALIGN_NAMES = {ALIGN_NONE: ALIGN_NONE, "linear": ALIGN_LINEAR, ALIGN_LINEAR: ALIGN_LINEAR}
 
 # §-free names for the full-scale training preset loaded by --paper-scale.
 PAPER_SCALE_SCHEDULE = dict(
@@ -55,12 +65,12 @@ class RunConfig:
             total_iters=5000, constant_lr_iters=2500, decay_iters=2500
         )
     )
-    mode: str = "spectrum-separate"
-    stats_policy: str = "target"
+    mode: str = MODE_SPECTRUM
+    stats_policy: str = STATS_TARGET
     seed: int = 0
     split: SplitSpec = field(default_factory=SplitSpec)
     pairs: list = field(default_factory=list)
-    align: str = "none"
+    align: str = ALIGN_NONE
 
 
 def _collect(errors: list, condition: bool, message: str) -> bool:
@@ -93,10 +103,9 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
     if overrides.get("seed") is not None:
         raw["seed"] = overrides["seed"]
         override("schedule", {"seed": overrides["seed"]})
-    if overrides.get("mode") is not None:
-        raw["mode"] = _cli_mode_to_training_mode(overrides["mode"], errors)
-    if overrides.get("align") is not None:
-        raw["align"] = overrides["align"]
+    for key in ("mode", "align"):
+        if overrides.get(key) is not None:
+            raw[key] = overrides[key]
 
     defaults = RunConfig()
 
@@ -120,24 +129,9 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
         _collect(errors, manifest.exists(), f"manifest does not exist: {manifest}")
     output_dir = _path(raw, "output_dir", base_dir, errors)
 
-    mode = raw.get("mode", "spectrum-separate")
-    _collect(
-        errors,
-        mode in TRAINING_MODES or mode == MODE_BASELINE,
-        f"mode must be one of {TRAINING_MODES + (MODE_BASELINE,)}, got {mode!r}",
-    )
-    stats_policy = raw.get("stats_policy", "target")
-    _collect(
-        errors,
-        stats_policy in ("source", "target"),
-        f"stats_policy must be 'source' or 'target', got {stats_policy!r}",
-    )
-    align = raw.get("align", "none")
-    _collect(
-        errors,
-        align in ("none", "linear-resample", "linear"),
-        f"align must be 'none' or 'linear-resample', got {align!r}",
-    )
+    mode = _spelled(raw, "mode", MODE_NAMES, MODE_SPECTRUM, errors)
+    stats_policy = _spelled(raw, "stats_policy", STATS_POLICIES, STATS_TARGET, errors)
+    align = _spelled(raw, "align", ALIGN_NAMES, ALIGN_NONE, errors)
     seed = raw.get("seed", 0)
     _collect(errors, isinstance(seed, int), f"seed must be an integer, got {seed!r}")
     _collect(
@@ -170,8 +164,17 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
         seed=int(seed),
         split=split,
         pairs=[tuple(p) for p in pairs],
-        align="linear-resample" if align == "linear" else align,
+        align=align,
     )
+
+
+def _spelled(raw: dict, key: str, names: dict, default: str, errors: list) -> str:
+    """The name that ``raw[key]`` (``default`` if absent) spells in ``names``."""
+    value = raw.get(key, default)
+    if isinstance(value, str) and value in names:
+        return names[value]
+    errors.append(f"{key} must be one of {tuple(names)}, got {value!r}")
+    return default
 
 
 def _path(raw: dict, key: str, base_dir: Path, errors: list) -> Path | None:
@@ -183,18 +186,3 @@ def _path(raw: dict, key: str, base_dir: Path, errors: list) -> Path | None:
         return None
     path = Path(value)
     return path if path.is_absolute() else base_dir / path
-
-
-def _cli_mode_to_training_mode(cli_mode: str, errors: list) -> str:
-    mapping = {
-        "spectrum": "spectrum-separate",
-        "prosody": "prosody-separate",
-        "joint": "joint",
-        "baseline": MODE_BASELINE,
-    }
-    if cli_mode in mapping:
-        return mapping[cli_mode]
-    if cli_mode in TRAINING_MODES or cli_mode == MODE_BASELINE:
-        return cli_mode
-    errors.append(f"mode must be one of {CLI_MODES}, got {cli_mode!r}")
-    return "spectrum-separate"

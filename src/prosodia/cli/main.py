@@ -13,14 +13,21 @@ import numpy as np
 from prosodia import __version__
 from prosodia.errors import ProsodiaError, ValidationError
 from prosodia.cli import pipeline
-from prosodia.cli.config import CLI_MODES, MODE_BASELINE, RunConfig, load_run_config
+from prosodia.cli.config import (
+    ALIGN_NAMES,
+    CLI_MODES,
+    MODE_BASELINE,
+    MODE_NAMES,
+    RunConfig,
+    load_run_config,
+)
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
 from prosodia.cyclegan.convert import reconstruct_f0
-from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
+from prosodia.cyclegan.model import MODES
 from prosodia.features import load_corpus, read_feature_file, write_feature_file
 from prosodia.features.uff import UtteranceFeatures
 from prosodia.jsonio import json_text, read_record, write_json
-from prosodia.metrics import evaluate_pairs, read_report_csv, write_report_csv
+from prosodia.metrics import ALIGN_NONE, evaluate_pairs, write_report_csv
 from prosodia.prosody import (
     cwt_decompose,
     export_scalogram_csv,
@@ -80,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one conversion system")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=CLI_MODES)
+    p.add_argument("--mode", choices=tuple(MODE_NAMES))
     p.add_argument("--seed", type=int)
     p.add_argument("--paper-scale", action="store_true",
                    help="use the full-scale published training schedule")
@@ -88,19 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert feature files with trained checkpoints")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=CLI_MODES)
+    p.add_argument("--mode", choices=tuple(MODE_NAMES))
     p.add_argument("--seed", type=int)
-    p.add_argument("--spectrum-ckpt")
-    p.add_argument("--prosody-ckpt")
-    p.add_argument("--joint-ckpt")
-    p.add_argument("--baseline-ckpt")
+    for name in CLI_MODES:
+        p.add_argument(f"--{name}-ckpt")
     p.add_argument("--inputs", nargs="*", help="UFF files (default: the split's eval sources)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="objective metrics between two feature directories")
     p.add_argument("--converted", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--align", choices=["none", "linear"], default="none")
+    p.add_argument("--align", choices=tuple(ALIGN_NAMES), default=ALIGN_NONE)
     p.add_argument("--out", help="report CSV path (default: <converted>/report.csv)")
 
     p = sub.add_parser("compare", help="train and evaluate all systems per emotion pair")
@@ -137,16 +142,8 @@ def _dispatch(args) -> int:
 
 
 def _config_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "paper_scale", False):
-        overrides["paper_scale"] = True
-    if getattr(args, "align", None) is not None:
-        overrides["align"] = args.align
-    return overrides
+    """Run-config overrides from --mode, --seed and --paper-scale (None where not given)."""
+    return {name: getattr(args, name, None) for name in ("mode", "seed", "paper_scale")}
 
 
 def cmd_synth_corpus(args) -> int:
@@ -234,16 +231,10 @@ def cmd_convert(args) -> int:
         inputs = [src for src, _ in split.eval_pairs]
         if not inputs:
             raise ValidationError("no eval sources in split and no --inputs given")
-    system = "separate" if config.mode in (MODE_SPECTRUM, MODE_PROSODY) else config.mode
+    system = config.mode if config.mode in pipeline.SYSTEMS else pipeline.SEPARATE
+    ckpts = {f"{name}_ckpt": getattr(args, f"{name}_ckpt") for name in CLI_MODES}
     pipeline.convert_directory(
-        inputs,
-        args.out,
-        mode=system,
-        stats_policy=config.stats_policy,
-        spectrum_ckpt=args.spectrum_ckpt,
-        prosody_ckpt=args.prosody_ckpt,
-        joint_ckpt=args.joint_ckpt,
-        baseline_ckpt=args.baseline_ckpt,
+        inputs, args.out, mode=system, stats_policy=config.stats_policy, **ckpts
     )
     log.info("converted %d utterances into %s", len(inputs), args.out)
     return EXIT_OK
@@ -262,9 +253,9 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(
             f"no common utterance ids between {args.converted} and {args.reference}"
         )
-    align = "linear-resample" if args.align == "linear" else "none"
     report = evaluate_pairs(
-        [converted[k] for k in common], [reference[k] for k in common], align=align
+        [converted[k] for k in common], [reference[k] for k in common],
+        align=ALIGN_NAMES[args.align],
     )
     out = Path(args.out) if args.out else Path(args.converted) / "report.csv"
     write_report_csv(report, out)
@@ -275,17 +266,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_run_config(args.config, overrides=_config_overrides(args))
-    pairs = config.pairs or [
-        (config.split.source_emotion, config.split.target_emotion)
-    ]
-    if not pairs:
-        raise ValidationError("compare requires at least one emotion pair")
+    pairs = config.pairs or [(config.split.source_emotion, config.split.target_emotion)]
     rows = []
     with pipeline.OutputDir(args.out) as out:
         for source, target in pairs:
             pair_config = _pair_config(config, source, target)
-            pair_name = f"{source}2{target}"
-            pair_dir = out / pair_name
+            pair_dir = out / f"{source}2{target}"
             results = _run_pair(pair_config, pair_dir)
             for system in pipeline.SYSTEMS:
                 rows.append((f"{source}->{target}", system, results[system]))
@@ -323,14 +309,13 @@ def _run_pair(config: RunConfig, pair_dir: Path) -> dict:
             for utt in eval_targets:
                 write_feature_file(utt, ref / f"{utt.utterance_id}.uff")
 
-        pipeline.train_mode(config, MODE_SPECTRUM, split, pdir / "spectrum")
-        pipeline.train_mode(config, MODE_PROSODY, split, pdir / "prosody")
-        pipeline.train_mode(config, MODE_JOINT, split, pdir / "joint")
-        pipeline.train_baseline(config, split, pdir / "baseline")
+        for mode, entry in MODES.items():
+            pipeline.train_mode(config, mode, split, pdir / entry.name)
+        pipeline.train_baseline(config, split, pdir / MODE_BASELINE)
 
         results = {}
         # every system takes the checkpoints it needs from the same four
-        ckpts = {f"{n}_ckpt": pdir / n for n in ("spectrum", "prosody", "joint", "baseline")}
+        ckpts = {f"{name}_ckpt": pdir / name for name in CLI_MODES}
         for system in pipeline.SYSTEMS:
             try:
                 converted = pipeline.convert_directory(

@@ -10,7 +10,7 @@ import numpy as np
 
 from prosodia.errors import FormatError, ValidationError
 from prosodia.baseline import LgStats, lg_fit, lg_transform
-from prosodia.cli.config import MODE_BASELINE, RunConfig
+from prosodia.cli.config import CLI_MODES, MODE_BASELINE, RunConfig
 from prosodia.cyclegan import (
     CorpusStats,
     LossLog,
@@ -21,7 +21,15 @@ from prosodia.cyclegan import (
     train,
 )
 from prosodia.cyclegan.checkpoint import SENTINEL
-from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM
+from prosodia.cyclegan.model import (
+    CWT,
+    MCEPS,
+    MODE_JOINT,
+    MODE_PROSODY,
+    MODE_SPECTRUM,
+    MODES,
+    training_mode,
+)
 from prosodia.features import (
     NonParallelSplit,
     UtteranceFeatures,
@@ -35,7 +43,10 @@ from prosodia.prosody import WaveletParams, cwt_decompose, pooled_log_f0_stats, 
 log = logging.getLogger("prosodia")
 
 LG_STATS_FILE = "lg_stats.json"
-SYSTEMS = (MODE_BASELINE, MODE_JOINT, "separate")
+SEPARATE = "separate"
+# The training modes whose checkpoints each model system converts with, in load order.
+SYSTEM_MODES = {MODE_JOINT: (MODE_JOINT,), SEPARATE: (MODE_SPECTRUM, MODE_PROSODY)}
+SYSTEMS = (MODE_BASELINE, *SYSTEM_MODES)
 
 
 @dataclass(frozen=True)
@@ -94,29 +105,14 @@ def load_split(config: RunConfig) -> NonParallelSplit:
     )
 
 
-def _prosody_features(utterances, wavelet: WaveletParams) -> list:
-    return [
-        cwt_decompose(preprocess_f0(u.f0_hz).values, wavelet).coeffs for u in utterances
-    ]
-
-
-def _spectrum_features(utterances) -> list:
-    return [np.asarray(u.mceps, dtype=np.float64) for u in utterances]
-
-
 def features_for_mode(mode: str, utterances, wavelet: WaveletParams) -> list:
-    if mode == MODE_SPECTRUM:
-        return _spectrum_features(utterances)
-    if mode == MODE_PROSODY:
-        return _prosody_features(utterances, wavelet)
-    if mode == MODE_JOINT:
-        return [
-            np.vstack([m, c])
-            for m, c in zip(
-                _spectrum_features(utterances), _prosody_features(utterances, wavelet)
-            )
-        ]
-    raise ValidationError(f"no feature extraction for mode {mode!r}")
+    """Per utterance, the feature rows ``mode`` maps: its blocks stacked in table order."""
+    extract = {
+        MCEPS: lambda u: np.asarray(u.mceps, dtype=np.float64),
+        CWT: lambda u: cwt_decompose(preprocess_f0(u.f0_hz).values, wavelet).coeffs,
+    }
+    blocks = training_mode(mode).blocks
+    return [np.vstack([extract[block](u) for block in blocks]) for u in utterances]
 
 
 def corpus_stats(config: RunConfig, split: NonParallelSplit) -> CorpusStats:
@@ -170,27 +166,21 @@ def load_lg_stats(ckpt_dir) -> BaselineStats:
     return read_record(path, BaselineStats, FormatError)
 
 
-def load_system(
-    system: str,
-    *,
-    stats_policy: str,
-    spectrum_ckpt=None,
-    prosody_ckpt=None,
-    joint_ckpt=None,
-    baseline_ckpt=None,
-):
+def load_system(system: str, *, stats_policy: str, **ckpts):
     """Load and check one system's checkpoints once; returns its per-utterance conversion.
 
-    baseline needs ``baseline_ckpt`` (``spectrum_ckpt`` also maps its MCEPs),
-    joint ``joint_ckpt``, separate ``spectrum_ckpt`` and ``prosody_ckpt``.
+    ``ckpts`` holds ``<name>_ckpt`` directories, one name per ``CLI_MODES``
+    entry. baseline needs ``baseline_ckpt`` (``spectrum_ckpt`` also maps its
+    MCEPs); a model system needs the checkpoint of each of its ``SYSTEM_MODES``.
     """
+    unknown = ckpts.keys() - {f"{name}_ckpt" for name in CLI_MODES}
+    if unknown:
+        raise TypeError(f"load_system got unknown checkpoint keywords {sorted(unknown)}")
     if system == MODE_BASELINE:
-        lg = load_lg_stats(_required(baseline_ckpt, "--baseline-ckpt", system))
+        lg = load_lg_stats(_checkpoint(ckpts, MODE_BASELINE, system))
         spectrum = None
-        if spectrum_ckpt is not None:
-            spectrum = _load_checked(
-                spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system, lg.target_emotion
-            )
+        if ckpts.get(f"{MODES[MODE_SPECTRUM].name}_ckpt") is not None:
+            spectrum = _load_checked(ckpts, MODE_SPECTRUM, system, lg.target_emotion)
 
         def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
             f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), lg.source, lg.target)
@@ -198,41 +188,41 @@ def load_system(
             return replace(utt, emotion_label=lg.target_emotion, mceps=mceps, f0_hz=f0)
 
         return convert
-    # f0_ckpt: the checkpoint that maps F0, whose wavelet and target stats conversion uses
-    if system == MODE_JOINT:
-        f0_ckpt = _load_checked(joint_ckpt, MODE_JOINT, "--joint-ckpt", system)
-        models = dict(joint_model=f0_ckpt.model)
-    elif system == "separate":
-        spectrum = _load_checked(spectrum_ckpt, MODE_SPECTRUM, "--spectrum-ckpt", system)
-        f0_ckpt = _load_checked(
-            prosody_ckpt, MODE_PROSODY, "--prosody-ckpt", system, spectrum.stats.target_emotion
-        )
-        models = dict(spectrum_model=spectrum.model, prosody_model=f0_ckpt.model)
-    else:
+    if system not in SYSTEM_MODES:
         raise ValidationError(f"unknown conversion system {system!r}, expected one of {SYSTEMS}")
+    loaded = []
+    for mode in SYSTEM_MODES[system]:
+        target = loaded[0].stats.target_emotion if loaded else None
+        loaded.append(_load_checked(ckpts, mode, system, target))
+    models = [ckpt.model for ckpt in loaded]
+    # the checkpoint that maps F0, whose wavelet and target stats conversion uses
+    f0_ckpt = next(ckpt for ckpt in loaded if CWT in MODES[ckpt.model.mode].blocks)
 
     def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
         return convert_utterance(
             utt,
+            models,
             wavelet=f0_ckpt.wavelet,
             target_stats=f0_ckpt.stats.target_log_f0,
             stats_policy=stats_policy,
             emotion_label=f0_ckpt.stats.target_emotion,
-            **models,
         )
 
     return convert
 
 
-def _required(ckpt, flag: str, system: str):
+def _checkpoint(ckpts: dict, name: str, system: str):
+    """The ``<name>_ckpt`` directory, without which ``system`` cannot convert."""
+    ckpt = ckpts.get(f"{name}_ckpt")
     if ckpt is None:
-        raise ValidationError(f"{system} conversion requires {flag}")
+        raise ValidationError(f"{system} conversion requires --{name}-ckpt")
     return ckpt
 
 
-def _load_checked(ckpt, mode: str, flag: str, system: str, target: str | None = None):
-    """A ``mode`` model checkpoint whose target emotion, if given, is ``target``."""
-    loaded = load_model_checkpoint(_required(ckpt, flag, system))
+def _load_checked(ckpts: dict, mode: str, system: str, target: str | None = None):
+    """The ``mode`` model checkpoint, whose target emotion, if given, is ``target``."""
+    ckpt = _checkpoint(ckpts, MODES[mode].name, system)
+    loaded = load_model_checkpoint(ckpt)
     if loaded.model.mode != mode:
         raise ValidationError(
             f"checkpoint {ckpt} holds a {loaded.model.mode!r} model, but {mode!r} is required"
@@ -245,27 +235,13 @@ def _load_checked(ckpt, mode: str, flag: str, system: str, target: str | None = 
     return loaded
 
 
-def convert_directory(
-    inputs: list,
-    out_dir,
-    *,
-    mode: str,
-    stats_policy: str,
-    spectrum_ckpt=None,
-    prosody_ckpt=None,
-    joint_ckpt=None,
-    baseline_ckpt=None,
-) -> list:
-    """Convert a list of UtteranceFeatures with one system; writes one UFF per input."""
+def convert_directory(inputs: list, out_dir, *, mode: str, stats_policy: str, **ckpts) -> list:
+    """Convert a list of UtteranceFeatures with one system; writes one UFF per input.
+
+    ``ckpts`` are the ``<name>_ckpt`` directories that ``load_system`` takes.
+    """
     check_output_ids(inputs)
-    convert = load_system(
-        mode,
-        stats_policy=stats_policy,
-        spectrum_ckpt=spectrum_ckpt,
-        prosody_ckpt=prosody_ckpt,
-        joint_ckpt=joint_ckpt,
-        baseline_ckpt=baseline_ckpt,
-    )
+    convert = load_system(mode, stats_policy=stats_policy, **ckpts)
     converted = []
     with OutputDir(out_dir) as path:
         for utt in inputs:

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from prosodia.errors import FormatError, ValidationError
-from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
+from prosodia.cyclegan.model import (
+    CycleGanModel,
+    FeatureStats,
+    LossWeights,
+    TrainSchedule,
+    mode_feature_dim,
+)
 from prosodia.jsonio import read_record, write_json
 from prosodia.nn.checkpoint import load_params, save_params
 from prosodia.nn.network import NetworkConfig, layers, param_layout
@@ -32,7 +38,11 @@ class CorpusStats:
 
 @dataclass
 class Metadata:
-    """The keys of ``metadata.json``; ``feature_stats`` may be absent."""
+    """The keys of ``metadata.json``; ``feature_stats`` may be absent.
+
+    ``mode`` must be a training mode whose feature rows the generator takes,
+    and each ``feature_stats`` vector must hold one value per generator channel.
+    """
 
     mode: str
     seed: int
@@ -43,6 +53,21 @@ class Metadata:
     stats: CorpusStats
     wavelet: WaveletParams
     feature_stats: FeatureStats | None = None
+
+    def __post_init__(self):
+        channels = self.gen_config.in_channels
+        rows = mode_feature_dim(self.mode, self.wavelet.n_scales)
+        if rows != channels:
+            raise ValidationError(
+                f"a {self.mode!r} model maps {rows} feature rows, but gen_config takes {channels}"
+            )
+        if self.feature_stats is not None:
+            for name in ("x_mean", "x_std", "y_mean", "y_std"):
+                shape = getattr(self.feature_stats, name).shape
+                if shape != (channels,):
+                    raise ValidationError(
+                        f"feature_stats {name!r} has shape {shape}, gen_config takes {channels}"
+                    )
 
 
 def save_model_checkpoint(
@@ -86,7 +111,6 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     Generator stores must hold exactly the parameters, with the shapes,
     that the stored ``gen_config``'s layer table names; a table with more
     layers than ``g_xy`` holds parameters is rejected before it is built.
-    Each ``feature_stats`` vector must hold one value per generator channel.
     Discriminator stores are not checked: stores written before the
     bias-on-every-layer layout still load (see ``prosodia.nn.network``).
     """
@@ -121,15 +145,6 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
                 f"{shapes.get(name, 'absent')}, the stored gen_config needs "
                 f"{layout.get(name, 'none')}"
             )
-    if meta.feature_stats is not None:
-        channels = (meta.gen_config.in_channels,)
-        for name in ("x_mean", "x_std", "y_mean", "y_std"):
-            shape = getattr(meta.feature_stats, name).shape
-            if shape != channels:
-                raise FormatError(
-                    f"{meta_path}: feature_stats {name!r} has shape {shape}, the stored "
-                    f"gen_config needs {channels}"
-                )
     model = CycleGanModel(
         mode=meta.mode,
         gen_config=meta.gen_config,

@@ -18,24 +18,49 @@ from prosodia.nn.network import (
 )
 from prosodia.nn.tensor import Tensor, no_grad
 
+# The feature blocks a model can map: the MCEP rows and the wavelet rows of log-F0.
+MCEPS = "mceps"
+CWT = "cwt"
+FEATURE_BLOCKS = (MCEPS, CWT)
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A training mode: its short name and the feature blocks it maps, in stacking order.
+
+    ``--mode``, run configs, ``--<name>-ckpt`` and ``compare``'s checkpoint
+    directories use the short name; files store the mode's key in ``MODES``.
+    """
+
+    name: str
+    blocks: tuple[str, ...]
+
+
 MODE_SPECTRUM = "spectrum-separate"
 MODE_PROSODY = "prosody-separate"
 MODE_JOINT = "joint"
-TRAINING_MODES = (MODE_SPECTRUM, MODE_PROSODY, MODE_JOINT)
+MODES = {
+    MODE_SPECTRUM: Mode("spectrum", (MCEPS,)),
+    MODE_PROSODY: Mode("prosody", (CWT,)),
+    MODE_JOINT: Mode("joint", (MCEPS, CWT)),
+}
+TRAINING_MODES = tuple(MODES)
 
 FORWARD = "forward"
 INVERSE = "inverse"
 
 
+def training_mode(mode: str) -> Mode:
+    """The table entry of a stored mode name."""
+    if mode not in TRAINING_MODES:
+        raise ValidationError(f"unknown training mode {mode!r}, expected one of {TRAINING_MODES}")
+    return MODES[mode]
+
+
 def mode_feature_dim(mode: str, n_scales: int = 10) -> int:
-    """Feature channel count per mode: MCEPs, wavelet scales, or both stacked."""
-    if mode == MODE_SPECTRUM:
-        return MCEP_DIM
-    if mode == MODE_PROSODY:
-        return n_scales
-    if mode == MODE_JOINT:
-        return MCEP_DIM + n_scales
-    raise ValidationError(f"unknown training mode {mode!r}, expected one of {TRAINING_MODES}")
+    """Feature channel count per mode: the rows of its blocks, stacked."""
+    rows = {MCEPS: MCEP_DIM, CWT: n_scales}
+    return sum(rows[block] for block in training_mode(mode).blocks)
 
 
 @dataclass
@@ -141,10 +166,7 @@ class CycleGanModel:
     feature_stats: FeatureStats | None = None
 
     def __post_init__(self):
-        if self.mode not in TRAINING_MODES:
-            raise ValidationError(
-                f"unknown training mode {self.mode!r}, expected one of {TRAINING_MODES}"
-            )
+        training_mode(self.mode)
 
     @property
     def feature_dim(self) -> int:

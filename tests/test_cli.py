@@ -8,16 +8,26 @@ import time
 import numpy as np
 import pytest
 
-from prosodia.cli.main import main
+from prosodia.cli.config import load_run_config
+from prosodia.cli.main import _config_overrides, build_parser, main
+from prosodia.cli.pipeline import features_for_mode
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
 from prosodia.cyclegan.checkpoint import SENTINEL
+from prosodia.cyclegan.model import (
+    MODE_JOINT,
+    MODE_PROSODY,
+    MODE_SPECTRUM,
+    MODES,
+    TRAINING_MODES,
+    mode_feature_dim,
+)
 from prosodia.features import (
     load_corpus,
     make_nonparallel_split,
     read_feature_file,
     write_feature_file,
 )
-from prosodia.prosody import preprocess_f0, read_scalogram_csv
+from prosodia.prosody import WaveletParams, preprocess_f0, read_scalogram_csv
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +333,43 @@ class TestTrainCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "mode" in err and "stats_policy" in err and "seed" in err
+
+
+class TestModeNames:
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    @pytest.mark.parametrize("spelling", ["short", "stored"])
+    @pytest.mark.parametrize("mode", TRAINING_MODES)
+    def test_short_and_stored_names_parse_to_the_stored_name(
+        self, tiny_config, tmp_path, mode, spelling, route
+    ):
+        name = MODES[mode].name if spelling == "short" else mode
+        raw = json.loads(tiny_config.read_text())
+        argv = ["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "o")]
+        if route == "config":
+            raw["mode"] = name
+        else:
+            argv += ["--mode", name]
+        (tmp_path / "run.json").write_text(json.dumps(raw), encoding="utf-8")
+        args = build_parser().parse_args(argv)
+        assert load_run_config(args.config, overrides=_config_overrides(args)).mode == mode
+
+    @pytest.mark.parametrize("mode", TRAINING_MODES)
+    def test_features_for_mode_give_the_mode_feature_rows(self, tiny_corpus, mode):
+        utts = [read_feature_file(f) for f in sorted(tiny_corpus.parent.glob("*.uff"))[:3]]
+        wavelet = WaveletParams()
+        feats = features_for_mode(mode, utts, wavelet)
+        rows = mode_feature_dim(mode, wavelet.n_scales)
+        assert [f.shape for f in feats] == [(rows, u.n_frames) for u in utts]
+
+    def test_joint_rows_are_the_spectrum_rows_over_the_prosody_rows(self, tiny_corpus):
+        utts = [read_feature_file(f) for f in sorted(tiny_corpus.parent.glob("*.uff"))[:3]]
+        wavelet = WaveletParams()
+        joint = features_for_mode(MODE_JOINT, utts, wavelet)
+        spectrum = features_for_mode(MODE_SPECTRUM, utts, wavelet)
+        prosody = features_for_mode(MODE_PROSODY, utts, wavelet)
+        for j, m, c in zip(joint, spectrum, prosody):
+            assert j.dtype == m.dtype == c.dtype == np.float64
+            assert j.tobytes() == np.vstack([m, c]).tobytes()
 
 
 @pytest.fixture(scope="module")

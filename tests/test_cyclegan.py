@@ -23,9 +23,9 @@ from prosodia.cyclegan import (
     train,
 )
 from prosodia.cyclegan.losses import DISCRIMINATOR_SIDE, GENERATOR_SIDE
-from prosodia.cyclegan.model import FeatureStats
+from prosodia.cyclegan.model import MODE_JOINT, MODE_PROSODY, MODE_SPECTRUM, FeatureStats
 from prosodia.cyclegan.train import LossLog, _sample_segment
-from prosodia.features import UtteranceFeatures
+from prosodia.features import UtteranceFeatures, write_feature_file
 from prosodia.nn import (
     AdamState,
     Tensor,
@@ -545,8 +545,7 @@ class TestConvertUtterance:
         stats = NormStats(mean=float(contour.mean()), std=float(contour.std()))
         out = convert_utterance(
             utt,
-            spectrum_model=_IdentitySpectrumModel(),
-            prosody_model=_IdentityModel(),
+            (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
             stats_policy="source",
         )
@@ -565,8 +564,7 @@ class TestConvertUtterance:
         stats = NormStats(mean=5.5, std=0.2)
         out = convert_utterance(
             utt,
-            spectrum_model=_IdentitySpectrumModel(),
-            prosody_model=_IdentityModel(),
+            (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
             stats_policy="target",
         )
@@ -583,9 +581,7 @@ class TestConvertUtterance:
 
         utt = synthetic_utterance(seed=3)
         stats = NormStats(mean=5.5, std=0.2)
-        out = convert_utterance(
-            utt, joint_model=JointProbe(), target_stats=stats, stats_policy="target"
-        )
+        out = convert_utterance(utt, (JointProbe(),), target_stats=stats, stats_policy="target")
         assert JointProbe.seen == (34, utt.n_frames)
         assert out.mceps.shape == (24, utt.n_frames)
 
@@ -593,26 +589,57 @@ class TestConvertUtterance:
         utt = synthetic_utterance(seed=4)
         stats = NormStats(mean=5.5, std=0.2)
         with pytest.raises(ValidationError):
-            convert_utterance(utt, target_stats=stats, prosody_model=_IdentityModel())
+            convert_utterance(utt, (_IdentityModel(),), target_stats=stats)
         with pytest.raises(ValidationError):
-            convert_utterance(
-                utt,
-                target_stats=stats,
-                joint_model=_IdentityModel(),  # wrong mode attribute
-            )
+            # the wavelet rows twice, the MCEPs not at all
+            convert_utterance(utt, (_IdentityModel(), _IdentityModel()), target_stats=stats)
 
     def test_stats_policy_target_imposes_target_register(self):
         utt = synthetic_utterance(seed=5)
         stats = NormStats(mean=np.log(300.0), std=0.1)
         out = convert_utterance(
             utt,
-            spectrum_model=_IdentitySpectrumModel(),
-            prosody_model=_IdentityModel(),
+            (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
             stats_policy="target",
         )
         voiced_log = np.log(out.f0_hz[out.f0_hz > 0].astype(np.float64))
         assert abs(voiced_log.mean() - np.log(300.0)) < 0.05
+
+    @pytest.mark.parametrize(
+        "modes",
+        [(MODE_JOINT, MODE_SPECTRUM), (MODE_PROSODY, MODE_PROSODY), (MODE_SPECTRUM,)],
+        ids=["joint_and_spectrum", "prosody_twice", "spectrum_alone"],
+    )
+    def test_models_that_do_not_map_each_block_once_are_rejected_first(self, modes):
+        calls = []
+
+        class Probe(_IdentityModel):
+            def __init__(self, mode):
+                self.mode = mode
+
+            def convert(self, features, direction="forward"):
+                calls.append(self.mode)
+                return super().convert(features, direction)
+
+        stats = NormStats(mean=5.5, std=0.2)
+        with pytest.raises(ValidationError, match="once each"):
+            convert_utterance(synthetic_utterance(seed=6), [Probe(m) for m in modes],
+                              target_stats=stats)
+        assert calls == []
+
+    def test_separate_models_in_either_order_write_the_same_uff(self, tmp_path):
+        prosody = load_model_checkpoint(FIXTURE_CHECKPOINT)
+        spectrum = build_model(MODE_SPECTRUM, base_channels=2, n_residual=1, seed=3)
+        utt = synthetic_utterance(seed=7)
+        blobs = []
+        for i, models in enumerate([(spectrum, prosody.model), (prosody.model, spectrum)]):
+            out = convert_utterance(
+                utt, models, target_stats=prosody.stats.target_log_f0, wavelet=prosody.wavelet
+            )
+            write_feature_file(out, tmp_path / f"{i}.uff")
+            blobs.append((tmp_path / f"{i}.uff").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestCheckpointDirectory:
@@ -724,6 +751,16 @@ class TestCheckpointDirectory:
         metadata["feature_stats"][name] = [0.5, 1.0, 1.5]  # the generator has 10 channels
         meta.write_text(json.dumps(metadata))
         with pytest.raises(FormatError, match=name):
+            load_model_checkpoint(tmp_path / "checkpoint")
+
+    @pytest.mark.parametrize("mode", ["bogus", MODE_JOINT, MODE_SPECTRUM])
+    def test_mode_the_stored_generator_cannot_run_is_format_error(self, tmp_path, mode):
+        shutil.copytree(FIXTURE_CHECKPOINT, tmp_path / "checkpoint")
+        meta = tmp_path / "checkpoint" / "metadata.json"
+        metadata = json.loads(meta.read_text())
+        metadata["mode"] = mode  # the fixture's generator takes 10 wavelet rows
+        meta.write_text(json.dumps(metadata))
+        with pytest.raises(FormatError, match="metadata.json"):
             load_model_checkpoint(tmp_path / "checkpoint")
 
     def test_discriminator_store_in_the_old_layout_loads(self, tmp_path):
