@@ -103,9 +103,8 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
     if overrides.get("seed") is not None:
         raw["seed"] = overrides["seed"]
         override("schedule", {"seed": overrides["seed"]})
-    for key in ("mode", "align"):
-        if overrides.get(key) is not None:
-            raw[key] = overrides[key]
+    if overrides.get("mode") is not None:
+        raw["mode"] = overrides["mode"]
 
     defaults = RunConfig()
 

@@ -16,7 +16,7 @@ from prosodia.nn.network import (
     generator_config,
     init_params,
 )
-from prosodia.nn.tensor import Tensor, no_grad
+from prosodia.nn.tensor import Tensor
 
 # The feature blocks a model can map: the MCEP rows and the wavelet rows of log-F0.
 MCEPS = "mceps"
@@ -210,8 +210,7 @@ class CycleGanModel:
         if target != n:
             feats = np.pad(feats, ((0, 0), (0, target - n)), mode="symmetric")
         weights = ParamStore({name: Tensor(p.values.astype(np.float32)) for name, p in store})
-        with no_grad():
-            out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
+        out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
         out = out.values[:, :n].astype(np.float64)
         if self.feature_stats is not None:
             out = self.feature_stats.destandardize(out, domain_out)

@@ -17,7 +17,7 @@ from prosodia.cyclegan.losses import (
 )
 from prosodia.cyclegan.model import CycleGanModel, FeatureStats, LossWeights, TrainSchedule
 from prosodia.nn.adam import AdamState, adam_step
-from prosodia.nn.network import forward_discriminator, forward_generator, stack_params
+from prosodia.nn.network import ParamStore, forward_discriminator, forward_generator, stack_params
 from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, scale, take
 
 LOSS_COLUMNS = ("iter", "lr", "adv_g", "adv_d", "cyc", "id")
@@ -86,11 +86,11 @@ def train(
     """Train in place and return the model with its loss log.
 
     Both generators run as one stacked call, and so do both discriminators:
-    at the start, each pair is laid out as the two rows of one arena
-    (``stack_params``), the generators in the order (G_xy, G_yx) and the
-    discriminators in the order (D_y, D_x), so the generators' outputs
-    (fake_y, fake_x) meet the discriminators of their domains slice by
-    slice. A pair's gradients land in place in the two rows of its
+    at the start of every call, each pair is laid out afresh as the two
+    rows of one arena (``stack_params``), the generators in the order
+    (G_xy, G_yx) and the discriminators in the order (D_y, D_x), so the
+    generators' outputs (fake_y, fake_x) meet the discriminators of their
+    domains slice by slice. A pair's gradients land in place in the two rows of its
     arena's gradient buffer, which lives from the pair's first gradient of
     a step to the second of its two ``adam_step`` calls, each of which
     updates one model's row in one pass. Each iteration samples one
@@ -100,11 +100,11 @@ def train(
     2. D-step: the discriminators score real and fake in one call on
        [(real, fake), (D_y, D_x), 1, C, F], the fakes entering as values cut
        from their graphs, and are updated on the least-squares objective;
-    3. G-step, with the discriminators' parameters frozen: the
-       discriminators score the fakes, the generators map the fakes back
-       (the input reordered to (fake_x, fake_y), giving (cycled_y,
-       cycled_x)), and while the identity loss is active a third generator
-       call maps (y, x). Both generators are then updated on the
+    3. G-step: the discriminators score the fakes through plain Tensors
+       over their values, which take no gradient; the generators map the
+       fakes back (the input reordered to (fake_x, fake_y), giving
+       (cycled_y, cycled_x)), and while the identity loss is active a third
+       generator call maps (y, x). Both generators are then updated on the
        adversarial + cycle (+ identity) objective, which differentiates
        through call 1: the generators have not changed since it ran.
 
@@ -128,9 +128,11 @@ def train(
     rng = np.random.default_rng(schedule.seed)
     seg = schedule.segment_frames
 
-    # Each call stacks again: a copy of the model holds separate arrays.
     generators = stack_params(model.g_xy, model.g_yx)
     discriminators = stack_params(model.d_y, model.d_x)
+    # The G-step's discriminators: plain Tensors over the arena, which see
+    # Adam's updates in place and take no gradient (it would serve no update).
+    frozen = ParamStore({name: Tensor(p.values) for name, p in discriminators})
     opt = {
         "g_xy": AdamState.for_params(model.g_xy),
         "g_yx": AdamState.for_params(model.g_yx),
@@ -139,7 +141,6 @@ def train(
     }
     gen_cfg, disc_cfg = model.gen_config, model.disc_config
 
-    d_params = [p for store in (model.d_x, model.d_y) for _, p in store]
     rows = []
     for t in range(1, schedule.total_iters + 1):
         try:
@@ -163,15 +164,11 @@ def train(
             adam_step(model.d_y, opt["d_y"], lr_d)
 
             # Generator update: adversarial + cycle (+ identity while active).
-            # The discriminators stay frozen through it, until the finally
-            # below: gradients for them would belong to no update.
-            for p in d_params:
-                p.requires_grad = False
             # (fake_x, fake_y) through (G_xy, G_yx) gives (cycled_y, cycled_x).
             cycled = forward_generator(generators, gen_cfg, take(fakes, [1, 0]))
             adv_g = adversarial_loss(
                 None,
-                forward_discriminator(discriminators, disc_cfg, add_leading_axis(fakes)),
+                forward_discriminator(frozen, disc_cfg, add_leading_axis(fakes)),
                 GENERATOR_SIDE,
             )
             cyc = cycle_loss(x_t, take(cycled, 1), y_t, take(cycled, 0))
@@ -189,9 +186,6 @@ def train(
             adam_step(model.g_yx, opt["g_yx"], lr_g)
         except NumericError as err:
             raise NumericError(f"training aborted at iteration {t}: {err}") from err
-        finally:
-            for p in d_params:
-                p.requires_grad = True
 
         rows.append((t, lr_g, adv_g.item(), d_loss.item(), cyc.item(), id_value))
     return model, LossLog(rows=rows)

@@ -12,7 +12,7 @@ from prosodia.nn.network import (
     generator_config,
     init_params,
 )
-from prosodia.nn.tensor import Tensor, backward, no_grad
+from prosodia.nn.tensor import Tensor, backward
 
 __all__ = [
     "AdamState",
@@ -30,6 +30,5 @@ __all__ = [
     "generator_config",
     "init_params",
     "load_params",
-    "no_grad",
     "save_params",
 ]

@@ -117,7 +117,7 @@ class ParamStore:
     view of it, in store order (``slot``).
     """
 
-    _slot = None  # (arena, row, the Tensors' values arrays when laid out)
+    _slot = None  # (arena, row) once the store is laid out
 
     def __init__(self, params: dict):
         self.params = params
@@ -148,37 +148,33 @@ class ParamStore:
     def slot(self) -> tuple[Arena, int]:
         """The arena and row that hold this store's values, in store order.
 
-        ``stack_params`` lays stores out; a store it has not laid out, or one
-        whose Tensors have had their values replaced since, is laid out here
-        as the one row of a new arena, which copies every value once.
+        ``stack_params`` lays stores out; a store it never laid out is laid
+        out here as the one row of a new arena, which copies every value
+        once. Rebinding a Tensor's ``values`` by hand means stacking again.
         """
-        slot = self._slot
-        if slot is None or len(slot[2]) != len(self.params) or any(
-            p.values is not v for p, v in zip(self.params.values(), slot[2])
-        ):
+        if self._slot is None:
             stack_params(self)
-            slot = self._slot
-        return slot[0], slot[1]
+        return self._slot
 
 
 def stack_params(*stores: ParamStore) -> ParamStore:
     """One store that runs same-layout stores as a single stacked call.
 
-    The stores are laid out as the rows of one arena (``stack_arena``), so
-    every store's Tensors keep their identity and become views of its row,
-    and each parameter of the result is a view [len(stores), ...] of its
-    columns: a forward with the result over inputs [len(stores), ...] runs
-    stores[i] on slice i, and each slice's gradient lands in row i of the
-    arena's gradient buffer, where Adam reads it. Copies every value once,
-    unless the stores already are the rows of one arena in this order; stack
-    again after anything replaces a parameter's array (a deep copy, for one).
+    The stores are laid out afresh as the rows of one new arena
+    (``stack_arena``), so every store's Tensors keep their identity and
+    become views of its row, and each parameter of the result is a view
+    [len(stores), ...] of its columns: a forward with the result over inputs
+    [len(stores), ...] runs stores[i] on slice i, and each slice's gradient
+    lands in row i of the arena's gradient buffer, where Adam reads it.
+    Copies every value once. The result always trains; to run it frozen,
+    wrap each of its values in a plain Tensor.
     """
     names = stores[0].names()
     if any(store.names() != names for store in stores):
         raise ValidationError("stacked stores must hold the same parameter names")
     arena, stacked = stack_arena([[store[name] for store in stores] for name in names])
     for row, store in enumerate(stores):
-        store._slot = (arena, row, tuple(p.values for p in store.params.values()))
+        store._slot = (arena, row)
     return ParamStore(dict(zip(names, stacked)))
 
 

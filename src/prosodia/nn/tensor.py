@@ -51,10 +51,16 @@ step copies into them and later ones add, so each leaf's ``grad`` is its
 row of that buffer and holds the sums that M unstacked calls would have
 given it, bit for bit. The buffer is allocated at the first gradient any
 parameter of the arena receives and dies when the last leaf gradient that
-views it is cleared (Adam clears them); frozen parameters never allocate
-it. So Adam reads a model's gradients as one flat row without gathering.
-A caller that keeps a leaf gradient past its step must copy it: while any
-view keeps the buffer alive, the next step writes into it.
+views it is cleared (Adam clears them). So Adam reads a model's gradients
+as one flat row without gathering. A caller that keeps a leaf gradient past
+its step must copy it: while any view keeps the buffer alive, the next step
+writes into it. A leaf whose ``values`` is rebound by hand is no longer its
+arena's row: stack its models again.
+
+A stacked parameter always trains. To freeze any parameter, wrap its values
+in a plain Tensor (``Tensor(p.values)``): it shares the array, so in-place
+updates show through, takes no gradient, and a convolution over it skips
+the weight gradient and its columns.
 
 ``backward`` walks the nodes once in reverse topological order and frees
 them as it goes: once a node's closure has run, the node drops its
@@ -70,26 +76,12 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 
 from prosodia.errors import AutodiffError, NumericError, ValidationError
 
-_grad_enabled = True
 _FLOAT32 = np.dtype(np.float32)  # numpy's one instance, so ``is`` compares it
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (used for frozen forwards)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
 
 
 class _Node:
@@ -137,19 +129,13 @@ class _Stack:
     """
 
     __slots__ = ("leaves", "arena", "columns", "shape")
+    requires_grad = True  # a stacked parameter always trains
 
     def __init__(self, leaves, arena: Arena, start: int):
         self.leaves = tuple(leaves)
         self.arena = arena
         self.columns = slice(start, start + self.leaves[0].values.size)
         self.shape = (len(self.leaves),) + self.leaves[0].shape
-
-    @property
-    def requires_grad(self):
-        for leaf in self.leaves:  # read by every op and closure: no generator
-            if leaf.requires_grad:
-                return True
-        return False
 
     def add(self, g: np.ndarray) -> None:
         """Add ``g`` [M, ...] into the leaves' gradients, as ``_accumulate`` per leaf would.
@@ -158,21 +144,8 @@ class _Stack:
         arena's gradient buffer, which becomes its ``grad``; later ones are
         added to that ``grad`` in place, one contiguous row at a time (one
         add over the strided rows of all leaves costs more at small sizes).
-        When every leaf is fresh, one copy fills all rows.
         """
-        leaves = self.leaves
-        for leaf in leaves:
-            if not leaf.requires_grad or leaf.grad is not None:
-                break
-        else:
-            rows = self.arena.grad()[:, self.columns].reshape(self.shape)
-            np.copyto(rows, g)
-            for leaf, row in zip(leaves, rows):
-                leaf.grad = row
-            return
-        for i, (leaf, part) in enumerate(zip(leaves, g)):
-            if not leaf.requires_grad:
-                continue
+        for i, (leaf, part) in enumerate(zip(self.leaves, g)):
             if leaf.grad is None:
                 row = self.arena.grad()[i, self.columns].reshape(leaf.shape)
                 np.copyto(row, part)
@@ -225,13 +198,14 @@ def stack_arena(columns) -> tuple[Arena, list]:
     """Stacked parameters over M models, one arena for all; see the module docstring.
 
     ``columns`` lists, per parameter, its M leaves (one per model). The arena
-    is values [M, N], in the leaves' dtype, with each parameter's columns in
-    ``columns`` order; each leaf's ``values`` is rebound to its view of row
-    i, after one copy, so the leaves keep their identity (optimizer state,
-    checkpoints and single-model calls read them as before) and an in-place
-    update of a leaf is one of the arena. Leaves already laid out that way
-    in one array keep it. Returns the arena and the stacked Tensors, views
-    [M, ...] of their columns.
+    is a new values array [M, N], in the leaves' dtype, with each parameter's
+    columns in ``columns`` order; each leaf's ``values`` is rebound to its
+    view of row i, after one copy, so the leaves keep their identity
+    (optimizer state, checkpoints and single-model calls read them as
+    before) and an in-place update of a leaf is one of the arena. Every call
+    lays the leaves out afresh. Returns the arena and the stacked Tensors,
+    views [M, ...] of their columns; they always train (to freeze one, wrap
+    its values in a plain Tensor).
     """
     columns = [tuple(leaves) for leaves in columns]
     for leaves in columns:
@@ -239,41 +213,19 @@ def stack_arena(columns) -> tuple[Arena, list]:
         if len(shapes) != 1:
             raise ValidationError(f"stacked leaves must share one shape, got {sorted(shapes)}")
     m, n = len(columns[0]), sum(leaves[0].values.size for leaves in columns)
-    owner = columns[0][0].values.base
-    copy = owner is None or owner.shape != (m, n) or not _laid_out(columns, owner)
-    if copy:
-        dtype = np.result_type(*{leaf.values.dtype for leaves in columns for leaf in leaves})
-        owner = np.empty((m, n), dtype)
+    dtype = np.result_type(*{leaf.values.dtype for leaves in columns for leaf in leaves})
+    owner = np.empty((m, n), dtype)
     arena, stacked, start = Arena(owner), [], 0
     for leaves in columns:
         stop = start + leaves[0].values.size
-        if copy:
-            for leaf, row in zip(leaves, owner[:, start:stop]):
-                row[...] = leaf.values.reshape(-1)
-                leaf.values = row.reshape(leaf.shape)
+        for leaf, row in zip(leaves, owner[:, start:stop]):
+            row[...] = leaf.values.reshape(-1)
+            leaf.values = row.reshape(leaf.shape)
         out = Tensor(owner[:, start:stop].reshape((m,) + leaves[0].shape))
         out._node = _Stack(leaves, arena, start)
         stacked.append(out)
         start = stop
     return arena, stacked
-
-
-def _laid_out(columns, owner: np.ndarray) -> bool:
-    """Whether each leaf i is a contiguous view of row i of ``owner``, in ``columns`` order."""
-    base = owner.__array_interface__["data"][0]
-    row_bytes = owner.strides[0]
-    start = 0
-    for leaves in columns:
-        for i, leaf in enumerate(leaves):
-            v = leaf.values
-            if (
-                v.base is not owner
-                or not v.flags.c_contiguous
-                or v.__array_interface__["data"][0] != base + i * row_bytes + owner.itemsize * start
-            ):
-                return False
-        start += leaves[0].values.size
-    return True
 
 
 def _target(t: Tensor):
@@ -294,7 +246,7 @@ def _result(values, targets, backward_fn) -> Tensor:
         raise NumericError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.values, out.grad, out.requires_grad, out._node = values, None, False, None
-    if _grad_enabled and any(t.requires_grad for t in targets):
+    if any(t.requires_grad for t in targets):
         out.requires_grad = True
         out._node = _Node(backward_fn, targets)
     return out

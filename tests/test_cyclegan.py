@@ -34,7 +34,6 @@ from prosodia.nn import (
     forward_discriminator,
     forward_generator,
     load_params,
-    no_grad,
     save_params,
 )
 from prosodia.nn.network import ParamStore
@@ -226,6 +225,38 @@ class TestTraining:
         train(model, xs, ys, LossWeights(id_cutoff_iters=2), tiny_schedule(total=3))
         assert len(buffers) == 12
         assert all(ref() is None for ref in buffers)
+
+    def test_discriminators_stay_trainable_and_take_no_generator_gradient(self, monkeypatch):
+        """The G-step freezes the discriminators without touching their leaves.
+
+        Every discriminator leaf keeps ``requires_grad`` through every call,
+        and when the generators update, no discriminator leaf holds a
+        gradient and the discriminators' gradient buffer does not exist.
+        """
+        module = importlib.import_module("prosodia.cyclegan.train")
+        model = tiny_model(seed=18)
+        d_leaves = [p for store in (model.d_x, model.d_y) for _, p in store]
+        stores = []
+
+        def recording(store, state, lr, real=module.adam_step):
+            assert all(p.requires_grad for p in d_leaves)
+            if store in (model.g_xy, model.g_yx):
+                assert all(p.grad is None for p in d_leaves)
+                arena = model.d_x.slot()[0]
+                assert arena._grad is None or arena._grad() is None
+            stores.append(store)
+            real(store, state, lr)
+
+        def scoring(*args, real=module.forward_discriminator):
+            assert all(p.requires_grad for p in d_leaves)
+            return real(*args)
+
+        monkeypatch.setattr(module, "adam_step", recording)
+        monkeypatch.setattr(module, "forward_discriminator", scoring)
+        xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+        train(model, xs, ys, LossWeights(id_cutoff_iters=2), tiny_schedule(total=3))
+        assert stores == [model.d_x, model.d_y, model.g_xy, model.g_yx] * 3
+        assert all(p.requires_grad for p in d_leaves)
 
     def test_matches_one_call_per_direction_bitwise(self):
         """Stacked calls give the loss log and parameters of the unstacked loop.
@@ -496,8 +527,7 @@ def _reference_convert(model, feats, direction):
     padded = np.pad(
         model.feature_stats.standardize(feats, domain_in), ((0, 0), (0, -n % 4)), mode="symmetric"
     )
-    with no_grad():
-        out = forward_generator(store, model.gen_config, Tensor(padded)).values[:, :n]
+    out = forward_generator(store, model.gen_config, Tensor(padded)).values[:, :n]
     return model.feature_stats.destandardize(out, domain_out)
 
 

@@ -192,7 +192,6 @@ def test_from_json_raises_only_what_readers_map(tmp_path_factory, cls, data):
         "paper_scale": st.booleans(),
         "seed": st.integers(0, 9),
         "mode": st.sampled_from(CLI_MODES),
-        "align": st.sampled_from(["none", "linear"]),
     }),
 )
 def test_run_config_raises_only_validation_error(raw, overrides):

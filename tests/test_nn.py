@@ -851,7 +851,10 @@ class TestStackedCalls:
         frozen = weights != "trainable"
         w_leaves, b_leaves = leaves(frozen)
         stacked_x = Tensor(x, requires_grad=True)
-        out = _conv(op, stacked_x, *stack_arena([w_leaves, b_leaves])[1])
+        stacked_w, stacked_b = stack_arena([w_leaves, b_leaves])[1]
+        if weights == "frozen":  # plain Tensors over the stacked values take no gradient
+            stacked_w, stacked_b = Tensor(stacked_w.values), Tensor(stacked_b.values)
+        out = _conv(op, stacked_x, stacked_w, stacked_b)
         if weights == "unfrozen_after_forward":
             for leaf in w_leaves + b_leaves:
                 leaf.requires_grad = True
@@ -878,8 +881,10 @@ class TestStackedCalls:
         assert _same_bits(stacked.values, before)
         a.values += 1.0  # an in-place update of a leaf is one of the arena
         assert _same_bits(stacked.values[0], before[0] + 1.0)
-        assert stack_arena([(a, b)])[0].values is arena.values
-        assert stack_arena([(b, a)])[0].values is not arena.values
+        again = stack_arena([(a, b)])[0].values  # every call lays the leaves out afresh
+        assert again is not arena.values and _same_bits(again, arena.values)
+        assert a.values.base is again
+        assert stack_arena([(b, a)])[0].values is not again
         with pytest.raises(ValidationError):
             stack_arena([(a, Tensor(np.zeros(3)))])
 
@@ -894,12 +899,63 @@ class TestStackedCalls:
             assert arena[row].tobytes() == flat[row].tobytes()
             assert all(p.values.base is arena for _, p in store)
             assert all(_same_bits(stacked[name].values[row], p.values) for name, p in store)
-        assert stack_params(*stores)["in.w"].values.base is arena  # laid out: kept
-        # A deep copy owns new arrays, so stacking it lays out a new arena.
+        again = stack_params(*stores)["in.w"].values.base  # laid out afresh
+        assert again is not arena and again.tobytes() == arena.tobytes()
+        assert all(p.values.base is again for store in stores for _, p in store)
+        # A deep copy owns new arrays, so stacking it leaves the stores' arena alone.
         copies = copy.deepcopy(stores)
-        assert stack_params(*copies)["in.w"].values.base is not arena
+        assert stack_params(*copies)["in.w"].values.base is not again
         copies[0]["in.w"].values += 1.0
-        assert arena[0].tobytes() == flat[0].tobytes()
+        assert again[0].tobytes() == flat[0].tobytes()
+
+    def test_stacking_again_frees_the_first_arena(self):
+        cfg = generator_config(3, base_channels=2, n_residual=1)
+        stores = [init_params(cfg, seed) for seed in (0, 1)]
+        first = weakref.ref(stack_params(*stores)["in.w"].values.base)
+        assert first() is not None  # the stores' Tensors view it
+        values = [p.values.copy() for store in stores for _, p in store]
+        second = stack_params(*stores)["in.w"].values.base
+        assert first() is None
+        arena = stores[0].slot()[0]
+        assert arena.values is second
+        assert [store.slot() for store in stores] == [(arena, 0), (arena, 1)]
+        leaves = [p for store in stores for _, p in store]
+        assert all(p.values.base is second for p in leaves)
+        assert all(_same_bits(p.values, v) for p, v in zip(leaves, values))
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
+    def test_plain_tensor_is_the_one_way_to_freeze_stacked_weights(self, op):
+        """A plain Tensor over stacked weights runs them as frozen unstacked leaves do.
+
+        It allocates no gradient buffer for their arena. The stacked weights
+        themselves always train, even over leaves marked frozen.
+        """
+        local = np.random.default_rng(65)
+        x, w, b = _conv_case(op, local, weight_lead=(2,))
+        w_leaves, b_leaves = ([Tensor(v.copy()) for v in arrays] for arrays in (w, b))
+        arena, (stacked_w, stacked_b) = stack_arena([w_leaves, b_leaves])
+
+        stacked_x = Tensor(x, requires_grad=True)
+        out = _conv(op, stacked_x, Tensor(stacked_w.values), Tensor(stacked_b.values))
+        g = local.normal(0, 1, out.shape)
+        _pull(out, g)
+        for s in range(2):
+            for m in range(2):
+                part_x = Tensor(x[s, m], requires_grad=True)
+                part_out = _conv(op, part_x, Tensor(w[m]), Tensor(b[m]))
+                _pull(part_out, g[s, m])
+                assert _same_bits(out.values[s, m], part_out.values)
+                assert _same_bits(stacked_x.grad[s, m], part_x.grad)
+        assert arena._grad is None
+        assert all(leaf.grad is None for leaf in w_leaves + b_leaves)
+
+        _pull(_conv(op, Tensor(x), stacked_w, stacked_b), g)
+        for m, (w_leaf, b_leaf) in enumerate(zip(w_leaves, b_leaves)):
+            ref_w, ref_b = Tensor(w[m], requires_grad=True), Tensor(b[m], requires_grad=True)
+            for s in range(2):
+                _pull(_conv(op, Tensor(x[s, m]), ref_w, ref_b), g[s, m])
+            assert _same_bits(w_leaf.grad, ref_w.grad) and _same_bits(b_leaf.grad, ref_b.grad)
+            assert w_leaf.grad.base is arena.grad()
 
     def test_take_gradients_add_up_exactly(self):
         # -0.0 fills the untaken slices, so even zeros of either sign survive.
