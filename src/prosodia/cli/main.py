@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from prosodia.cli.config import (
     load_run_config,
 )
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
+from prosodia.cyclegan.checkpoint import check_finished
 from prosodia.cyclegan.convert import reconstruct_f0
 from prosodia.cyclegan.model import MODES
 from prosodia.features import load_corpus, read_feature_file, write_feature_file
-from prosodia.features.uff import UtteranceFeatures
 from prosodia.jsonio import json_text, read_record, write_json
 from prosodia.metrics import ALIGN_NONE, evaluate_pairs, write_report_csv
 from prosodia.prosody import (
@@ -200,14 +201,7 @@ def cmd_reconstruct(args) -> int:
             f"reference has {reference.n_frames} frames, cache has {matrix.n_frames}"
         )
     f0 = reconstruct_f0(matrix, stats, voicing)
-    out = UtteranceFeatures(
-        utterance_id=reference.utterance_id,
-        emotion_label=reference.emotion_label,
-        frame_period_ms=reference.frame_period_ms,
-        mceps=reference.mceps,
-        f0_hz=f0.astype(np.float32),
-    )
-    write_feature_file(out, args.out)
+    write_feature_file(replace(reference, f0_hz=f0.astype(np.float32)), args.out)
     return EXIT_OK
 
 
@@ -241,7 +235,7 @@ def cmd_convert(args) -> int:
 
 
 def _load_uff_dir(directory) -> dict:
-    files = sorted(Path(directory).glob("*.uff"))
+    files = sorted(check_finished(directory).glob("*.uff"))
     return {f.stem: read_feature_file(f) for f in files}
 
 

@@ -20,7 +20,7 @@ from prosodia.cyclegan import (
     save_model_checkpoint,
     train,
 )
-from prosodia.cyclegan.checkpoint import SENTINEL
+from prosodia.cyclegan.checkpoint import SENTINEL, check_finished
 from prosodia.cyclegan.model import (
     CWT,
     MCEPS,
@@ -160,7 +160,7 @@ def train_baseline(config: RunConfig, split: NonParallelSplit, out_dir) -> None:
 
 
 def load_lg_stats(ckpt_dir) -> BaselineStats:
-    path = Path(ckpt_dir) / LG_STATS_FILE
+    path = check_finished(ckpt_dir) / LG_STATS_FILE
     if not path.exists():
         raise ValidationError(f"{ckpt_dir}: missing {LG_STATS_FILE}; not a baseline checkpoint")
     return read_record(path, BaselineStats, FormatError)

@@ -11,8 +11,6 @@ from prosodia.cyclegan.convert import (
 )
 from prosodia.cyclegan.losses import adversarial_loss, cycle_loss, identity_loss
 from prosodia.cyclegan.model import (
-    FORWARD,
-    INVERSE,
     MODE_JOINT,
     MODE_PROSODY,
     MODE_SPECTRUM,
@@ -30,8 +28,6 @@ __all__ = [
     "CorpusStats",
     "CycleGanModel",
     "FeatureStats",
-    "FORWARD",
-    "INVERSE",
     "LoadedCheckpoint",
     "LossLog",
     "LossWeights",

@@ -26,6 +26,14 @@ SENTINEL = ".in-progress"
 STORE_FILES = {"g_xy": "g_xy.prm1", "g_yx": "g_yx.prm1", "d_x": "d_x.prm1", "d_y": "d_y.prm1"}
 
 
+def check_finished(directory) -> Path:
+    """``directory`` as a Path, unless it holds ``SENTINEL``: then its writer did not finish."""
+    directory = Path(directory)
+    if (directory / SENTINEL).exists():
+        raise ValidationError(f"{directory}: holds {SENTINEL}; its writer did not finish")
+    return directory
+
+
 @dataclass
 class CorpusStats:
     """Training-corpus statistics carried with a checkpoint."""
@@ -114,9 +122,7 @@ def load_model_checkpoint(directory) -> LoadedCheckpoint:
     Discriminator stores are not checked: stores written before the
     bias-on-every-layer layout still load (see ``prosodia.nn.network``).
     """
-    directory = Path(directory)
-    if (directory / SENTINEL).exists():
-        raise ValidationError(f"{directory}: holds {SENTINEL}; its writer did not finish")
+    directory = check_finished(directory)
     meta_path = directory / METADATA_FILE
     if not meta_path.exists():
         raise ValidationError(f"{directory}: missing {METADATA_FILE}; not a checkpoint directory")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from prosodia.errors import NumericError, ValidationError
@@ -62,10 +64,9 @@ def convert_utterance(
     matrix = CwtMatrix(coeffs=converted[CWT], params=wavelet)
     f0 = reconstruct_f0(matrix, stats, contour.voicing_mask)
 
-    return UtteranceFeatures(
-        utterance_id=utt.utterance_id,
+    return replace(
+        utt,
         emotion_label=emotion_label if emotion_label is not None else utt.emotion_label,
-        frame_period_ms=utt.frame_period_ms,
         mceps=converted[MCEPS].astype(np.float32),
         f0_hz=f0.astype(np.float32),
     )

@@ -46,9 +46,6 @@ MODES = {
 }
 TRAINING_MODES = tuple(MODES)
 
-FORWARD = "forward"
-INVERSE = "inverse"
-
 
 def training_mode(mode: str) -> Mode:
     """The table entry of a stored mode name."""
@@ -124,9 +121,7 @@ class FeatureStats:
     STD_FLOOR_FRACTION = 0.1
 
     @classmethod
-    def fit(cls, x_sets, y_sets, floor_fraction: float | None = None) -> "FeatureStats":
-        frac = cls.STD_FLOOR_FRACTION if floor_fraction is None else floor_fraction
-
+    def fit(cls, x_sets, y_sets) -> "FeatureStats":
         def stats(sets):
             pooled = np.concatenate([np.asarray(f, dtype=np.float64) for f in sets], axis=1)
             mean = pooled.mean(axis=1)
@@ -135,7 +130,7 @@ class FeatureStats:
             pooled -= mean[:, None]
             np.multiply(pooled, pooled, out=pooled)
             std = np.sqrt(np.add.reduce(pooled, axis=1) / pooled.shape[1])
-            floor = frac * max(float(std.max()), 1e-12)
+            floor = cls.STD_FLOOR_FRACTION * max(float(std.max()), 1e-12)
             return mean, np.maximum(std, floor)
 
         x_mean, x_std = stats(x_sets)
@@ -153,7 +148,7 @@ class FeatureStats:
 
 @dataclass
 class CycleGanModel:
-    """Forward/inverse generators with one discriminator per domain."""
+    """Forward/inverse generators with one discriminator per domain; conversion runs ``g_xy``."""
 
     mode: str
     gen_config: NetworkConfig
@@ -175,19 +170,18 @@ class CycleGanModel:
     def stores(self) -> dict[str, ParamStore]:
         return {"g_xy": self.g_xy, "g_yx": self.g_yx, "d_x": self.d_x, "d_y": self.d_y}
 
-    def convert(self, features: np.ndarray, direction: str = FORWARD) -> np.ndarray:
-        """Run one generator over a full-length [channels, N] feature matrix, N >= 1.
+    def convert(self, features: np.ndarray) -> np.ndarray:
+        """Map a full-length [channels, N] feature matrix, N >= 1, from X to Y with ``g_xy``.
 
         Inputs shorter than the downsampling factor, or with a frame count
         not divisible by it, are symmetrically reflection-padded and cropped
         back afterwards; the input array is never modified. Trained models
         carry per-dimension standardization, applied on the way in and
-        inverted with the output domain's statistics on the way out; both
-        run in float64. The generator itself runs in float32, the precision
-        UFF stores: each call casts the input and the direction's weights to
-        float32 (a cached copy would go stale when ``train`` updates the
-        weights in place), and the output is upcast to float64 before it is
-        destandardized. The result is float64.
+        inverted with Y's statistics on the way out; both run in float64.
+        The generator runs in float32, the precision UFF stores: each call
+        casts the input and the weights to float32 (a cached copy would go
+        stale when ``train`` updates them in place), and upcasts the output
+        to float64 before it is destandardized.
         """
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.feature_dim:
@@ -196,24 +190,18 @@ class CycleGanModel:
             )
         if feats.shape[1] == 0:
             raise ValidationError("features must hold at least one frame, got 0")
-        if direction == FORWARD:
-            store, domain_in, domain_out = self.g_xy, "x", "y"
-        elif direction == INVERSE:
-            store, domain_in, domain_out = self.g_yx, "y", "x"
-        else:
-            raise ValidationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
         if self.feature_stats is not None:
-            feats = self.feature_stats.standardize(feats, domain_in)
+            feats = self.feature_stats.standardize(feats, "x")
         n = feats.shape[1]
         factor = 2**self.gen_config.n_downsample
         target = max(int(np.ceil(n / factor)) * factor, factor)
         if target != n:
             feats = np.pad(feats, ((0, 0), (0, target - n)), mode="symmetric")
-        weights = ParamStore({name: Tensor(p.values.astype(np.float32)) for name, p in store})
+        weights = ParamStore({name: Tensor(p.values.astype(np.float32)) for name, p in self.g_xy})
         out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
         out = out.values[:, :n].astype(np.float64)
         if self.feature_stats is not None:
-            out = self.feature_stats.destandardize(out, domain_out)
+            out = self.feature_stats.destandardize(out, "y")
         return out
 
 

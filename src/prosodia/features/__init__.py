@@ -1,5 +1,4 @@
 from prosodia.features.corpus import (
-    CorpusManifest,
     ManifestEntry,
     NonParallelSplit,
     load_corpus,
@@ -16,7 +15,6 @@ from prosodia.features.uff import (
 )
 
 __all__ = [
-    "CorpusManifest",
     "ManifestEntry",
     "MCEP_DIM",
     "NonParallelSplit",

@@ -11,8 +11,6 @@ from prosodia.errors import ValidationError
 from prosodia.features.uff import UtteranceFeatures, read_feature_file
 from prosodia.jsonio import read_json
 
-MANIFEST_VERSION = "1"
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -21,13 +19,7 @@ class ManifestEntry:
     path: Path
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple
-    version: str = MANIFEST_VERSION
-
-
-def load_manifest(manifest_path) -> CorpusManifest:
+def load_manifest(manifest_path) -> tuple[ManifestEntry, ...]:
     """Parse a JSON manifest: a UTF-8 array of {"id", "emotion", "path"}.
 
     Relative paths are resolved against the manifest's directory. The same
@@ -64,7 +56,7 @@ def load_manifest(manifest_path) -> CorpusManifest:
         raise ValidationError(
             "manifest references missing files: " + ", ".join(sorted(missing))
         )
-    return CorpusManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 def load_corpus(manifest_path) -> dict[str, list[UtteranceFeatures]]:
@@ -73,9 +65,8 @@ def load_corpus(manifest_path) -> dict[str, list[UtteranceFeatures]]:
     Each emotion's list is sorted by utterance_id. The id and emotion stored
     inside each file must agree with the manifest entry.
     """
-    manifest = load_manifest(manifest_path)
     corpus: dict[str, list[UtteranceFeatures]] = {}
-    for entry in manifest.entries:
+    for entry in load_manifest(manifest_path):
         feats = read_feature_file(entry.path)
         if feats.utterance_id != entry.utterance_id:
             raise ValidationError(

@@ -24,6 +24,9 @@ from prosodia.nn.network import ParamStore
 # unblocked pass over a desk-size row is no faster than per-tensor updates.
 CHUNK = 32768
 
+# The moment decay rates and the denominator's offset; beta1 = 0.5 is CycleGAN's.
+BETA1, BETA2, EPSILON = 0.5, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -32,15 +35,11 @@ class AdamState:
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_count: int = 0
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ParamStore, beta1: float = 0.5, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: ParamStore) -> "AdamState":
         n = params.n_values()
-        return cls(m=np.zeros(n), v=np.zeros(n), beta1=beta1, beta2=beta2, epsilon=epsilon)
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
@@ -69,24 +68,23 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
 
     state.step_count += 1
     t = state.step_count
-    beta1, beta2, eps = state.beta1, state.beta2, state.epsilon
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     scratch = np.empty((2, min(n, CHUNK)))
     for start in range(0, n, CHUNK):
         block = slice(start, min(start + CHUNK, n))
         gb, mb, vb = g[block], state.m[block], state.v[block]
         a, b = scratch[:, : gb.size]
-        mb *= beta1  # m = beta1 * m + (1 - beta1) * g
-        np.multiply(gb, 1.0 - beta1, out=a)
+        mb *= BETA1  # m = beta1 * m + (1 - beta1) * g
+        np.multiply(gb, 1.0 - BETA1, out=a)
         mb += a
-        vb *= beta2  # v = beta2 * v + (1 - beta2) * (g * g)
+        vb *= BETA2  # v = beta2 * v + (1 - beta2) * (g * g)
         np.multiply(gb, gb, out=a)
-        a *= 1.0 - beta2
+        a *= 1.0 - BETA2
         vb += a
         np.divide(vb, bc2, out=a)  # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.sqrt(a, out=a)
-        a += eps
+        a += EPSILON
         np.divide(mb, bc1, out=b)
         b *= lr
         b /= a

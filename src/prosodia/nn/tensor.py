@@ -82,6 +82,7 @@ import numpy as np
 from prosodia.errors import AutodiffError, NumericError, ValidationError
 
 _FLOAT32 = np.dtype(np.float32)  # numpy's one instance, so ``is`` compares it
+NORM_EPS = 1e-5  # added to instance_norm's variance
 
 
 class _Node:
@@ -491,7 +492,7 @@ def glu(a: Tensor, lead: int = 0) -> Tensor:
     return out
 
 
-def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-channel normalization over all axes after the channel axis, then affine.
 
     Works for [C, F] and [C, H, W] samples; gain/bias have shape [C], or
@@ -518,7 +519,7 @@ def instance_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     x_hat = a.values - mu
     out = np.multiply(x_hat, x_hat)
     var = np.add.reduce(out, axis=axes, keepdims=True) / n
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    inv_sigma = 1.0 / np.sqrt(var + NORM_EPS)
     x_hat *= inv_sigma
     expand = gain.shape + (1,) * len(axes)
     np.multiply(gv.reshape(expand), x_hat, out=out)

@@ -19,7 +19,7 @@ from prosodia.errors import ValidationError
 
 DEFAULT_TAU0 = 0.005
 DEFAULT_N_SCALES = 10
-LADDERS = ("octave", "dj")
+LADDERS = ("octave", "dj")  # a ladder's index is its CWT1 code: append only
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from prosodia.features import (
     write_feature_file,
 )
 from prosodia.prosody import WaveletParams, preprocess_f0, read_scalogram_csv
+from prosodia.prosody.cwt import LADDERS
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,24 @@ class TestCwtCache:
         path.write_bytes(_with_ladder_code(cache_bytes, 7))
         with pytest.raises(FormatError, match="ladder"):
             read_cwt_cache(path)
+
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_each_ladder_round_trips_with_its_index_as_code(self, ladder, tmp_path):
+        from prosodia.prosody import CwtMatrix, NormStats
+        from prosodia.prosody.cwt_cache import read_cwt_cache, write_cwt_cache
+
+        params = WaveletParams(ladder=ladder)
+        coeffs = np.random.default_rng(1).normal(size=(params.n_scales, 4))
+        voicing = np.array([True, False, True, True])
+        path = tmp_path / f"{ladder}.cwt"
+        write_cwt_cache(path, CwtMatrix(coeffs=coeffs, params=params),
+                        NormStats(mean=5.0, std=0.2), voicing)
+        assert path.read_bytes()[4 + struct.calcsize("<IIIdddd")] == LADDERS.index(ladder)
+        matrix, stats, read_voicing = read_cwt_cache(path)
+        assert matrix.params == params
+        assert matrix.coeffs.tobytes() == coeffs.tobytes()
+        assert stats == NormStats(mean=5.0, std=0.2)
+        np.testing.assert_array_equal(read_voicing, voicing)
 
     def test_cli_exits_2_on_malformed_cache(self, cache_bytes, tmp_path, capsys):
         from prosodia.features import UtteranceFeatures, write_feature_file
@@ -525,18 +544,22 @@ class TestConvertCommand:
                 baseline_ckpt=base_c, spectrum_ckpt=spec_dir,
             )
 
-    def test_half_written_checkpoint_rejected(self, tiny_config, trained, tmp_path, capsys):
-        spec_dir, pros_dir, _ = trained
+    @pytest.mark.parametrize("kind", ["prosody", "baseline"])
+    def test_half_written_checkpoint_rejected(self, tiny_config, trained, tmp_path, capsys, kind):
+        spec_dir, pros_dir, base_dir = trained
         half = tmp_path / "half"
-        shutil.copytree(pros_dir, half)
+        shutil.copytree(pros_dir if kind == "prosody" else base_dir, half)
         (half / SENTINEL).write_text("", encoding="utf-8")
-        rc = main([
-            "convert", "--config", str(tiny_config), "--mode", "spectrum",
-            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(half),
-            "--out", str(tmp_path / "conv"),
-        ])
+        flags = {
+            "prosody": ["--mode", "spectrum", "--spectrum-ckpt", str(spec_dir),
+                        "--prosody-ckpt", str(half)],
+            "baseline": ["--mode", "baseline", "--baseline-ckpt", str(half)],
+        }
+        rc = main(["convert", "--config", str(tiny_config), *flags[kind],
+                   "--out", str(tmp_path / "conv")])
         assert rc == 1
         assert SENTINEL in capsys.readouterr().err
+        assert not (tmp_path / "conv").exists()
 
     def test_mode_mismatch_rejected(self, tiny_config, trained, tmp_path, capsys):
         spec_dir, pros_dir, _ = trained
@@ -912,6 +935,21 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--converted", str(a), "--reference", str(b)])
         assert rc == 1
         assert "common" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("half_written", ["converted", "reference"])
+    def test_half_written_directory_rejected(self, tiny_corpus, tmp_path, capsys, half_written):
+        dirs = {"converted": tmp_path / "converted", "reference": tmp_path / "reference"}
+        utt = read_feature_file(sorted(tiny_corpus.parent.glob("*_B.uff"))[0])
+        for path in dirs.values():
+            path.mkdir()
+            write_feature_file(utt, path / f"{utt.utterance_id}.uff")
+        (dirs[half_written] / SENTINEL).write_text("", encoding="utf-8")
+        out_csv = tmp_path / "report.csv"
+        rc = main(["evaluate", "--converted", str(dirs["converted"]),
+                   "--reference", str(dirs["reference"]), "--out", str(out_csv)])
+        assert rc == 1
+        assert SENTINEL in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestCompareCommand:

@@ -335,7 +335,7 @@ class TestTraining:
         sets = [local.normal(3, 7, (6, n)) for n in (1, 9, 833, 1088, 5000, 4100)]
         for dtype in (np.float64, np.float32):
             typed = [f.astype(dtype) for f in sets]
-            stats = FeatureStats.fit(typed, typed[:2], floor_fraction=0.0)
+            stats = FeatureStats.fit(typed, typed[:2])
             pooled = np.concatenate([f.astype(np.float64) for f in typed], axis=1)
             assert stats.x_mean.tobytes() == pooled.mean(axis=1).tobytes()
             assert stats.x_std.tobytes() == pooled.std(axis=1).tobytes()
@@ -476,59 +476,49 @@ class TestConvertFeatures:
         model = tiny_model(seed=2)
         feats = rng.normal(0, 1, (10, 37))
         copy = feats.copy()
-        out = model.convert(feats, "forward")
+        out = model.convert(feats)
         assert out.shape == (10, 37)
         np.testing.assert_array_equal(feats, copy)
 
     def test_single_frame_input(self):
         model = tiny_model(seed=2)
-        out = model.convert(rng.normal(0, 1, (10, 1)), "forward")
+        out = model.convert(rng.normal(0, 1, (10, 1)))
         assert out.shape == (10, 1)
-
-    def test_bad_direction_rejected(self):
-        model = tiny_model()
-        with pytest.raises(ValidationError):
-            model.convert(np.zeros((10, 8)), "sideways")
 
     def test_channel_mismatch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValidationError):
-            model.convert(np.zeros((24, 8)), "forward")
+            model.convert(np.zeros((24, 8)))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError, match="at least one frame"):
-            tiny_model().convert(np.zeros((10, 0)), "forward")
+            tiny_model().convert(np.zeros((10, 0)))
 
-    @pytest.mark.parametrize("direction", ["forward", "inverse"])
     @pytest.mark.parametrize("source", ["fixture", "trained"])
-    def test_float32_generator_matches_float64_reference(self, source, direction):
+    def test_float32_generator_matches_float64_reference(self, source):
         """The float32 generator stays within 1e-4 of each output row's std of float64."""
         if source == "fixture":
             model = load_model_checkpoint(FIXTURE_CHECKPOINT).model
         else:
             xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
             model, _ = train(tiny_model(seed=15), xs, ys, LossWeights(), tiny_schedule(total=4))
-        domain = "x" if direction == "forward" else "y"
         standard = np.random.default_rng(16).normal(0, 1, (10, 998))
-        feats = model.feature_stats.destandardize(standard, domain)
-        out = model.convert(feats, direction)
-        reference = _reference_convert(model, feats, direction)
+        feats = model.feature_stats.destandardize(standard, "x")
+        out = model.convert(feats)
+        reference = _reference_convert(model, feats)
         assert out.dtype == np.float64
         assert (np.abs(out - reference).max(axis=1) <= 1e-4 * reference.std(axis=1)).all()
-        assert model.convert(feats, direction).tobytes() == out.tobytes()
+        assert model.convert(feats).tobytes() == out.tobytes()
 
 
-def _reference_convert(model, feats, direction):
+def _reference_convert(model, feats):
     """What ``CycleGanModel.convert`` computes, with the generator run in float64."""
-    store, domain_in, domain_out = (
-        (model.g_xy, "x", "y") if direction == "forward" else (model.g_yx, "y", "x")
-    )
     n = feats.shape[1]
     padded = np.pad(
-        model.feature_stats.standardize(feats, domain_in), ((0, 0), (0, -n % 4)), mode="symmetric"
+        model.feature_stats.standardize(feats, "x"), ((0, 0), (0, -n % 4)), mode="symmetric"
     )
-    out = forward_generator(store, model.gen_config, Tensor(padded)).values[:, :n]
-    return model.feature_stats.destandardize(out, domain_out)
+    out = forward_generator(model.g_xy, model.gen_config, Tensor(padded)).values[:, :n]
+    return model.feature_stats.destandardize(out, "y")
 
 
 class _IdentityModel:
@@ -536,7 +526,7 @@ class _IdentityModel:
 
     mode = "prosody-separate"
 
-    def convert(self, features, direction="forward"):
+    def convert(self, features):
         return np.asarray(features, dtype=np.float64).copy()
 
 
@@ -605,7 +595,7 @@ class TestConvertUtterance:
             mode = "joint"
             seen = None
 
-            def convert(self, features, direction="forward"):
+            def convert(self, features):
                 JointProbe.seen = np.asarray(features).shape
                 return np.asarray(features, dtype=np.float64).copy()
 
@@ -648,9 +638,9 @@ class TestConvertUtterance:
             def __init__(self, mode):
                 self.mode = mode
 
-            def convert(self, features, direction="forward"):
+            def convert(self, features):
                 calls.append(self.mode)
-                return super().convert(features, direction)
+                return super().convert(features)
 
         stats = NormStats(mean=5.5, std=0.2)
         with pytest.raises(ValidationError, match="once each"):
@@ -697,7 +687,7 @@ class TestCheckpointDirectory:
             )
         feats = rng.normal(0, 1, (10, 20))
         np.testing.assert_allclose(
-            loaded.model.convert(feats, "forward"), model.convert(feats, "forward"),
+            loaded.model.convert(feats), model.convert(feats),
             atol=1e-12,
         )
 

@@ -305,7 +305,7 @@ class TestAdam:
         state = AdamState.for_params(store)
         p.grad = np.array([1.0])
         adam_step(store, state, lr=0.1)
-        expected = 1.0 - 0.1 * (1.0 / (1.0 + state.epsilon))
+        expected = 1.0 - 0.1 * (1.0 / (1.0 + adam_module.EPSILON))
         np.testing.assert_allclose(p.values, [expected], rtol=1e-15)
         assert p.grad is None
 
@@ -343,7 +343,7 @@ class TestAdam:
             state.m[:] = local.normal(0, 0.1, state.m.size)
             state.v[:] = local.uniform(0, 0.1, state.v.size)
             state.step_count = 2
-            lr, b1, b2, eps = 0.01, state.beta1, state.beta2, state.epsilon
+            lr, b1, b2, eps = 0.01, adam_module.BETA1, adam_module.BETA2, adam_module.EPSILON
             bc1, bc2 = 1.0 - b1**3, 1.0 - b2**3
             expected, start = [], 0
             for name, p in store:
