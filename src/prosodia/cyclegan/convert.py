@@ -21,9 +21,9 @@ def convert_utterance(
     models,
     *,
     target_stats: NormStats,
-    wavelet: WaveletParams = WaveletParams(),
-    stats_policy: str = STATS_TARGET,
-    emotion_label: str | None = None,
+    wavelet: WaveletParams,
+    stats_policy: str,
+    emotion_label: str,
 ) -> UtteranceFeatures:
     """Convert one utterance's MCEPs and F0 to the target emotion.
 
@@ -31,7 +31,8 @@ def convert_utterance(
     scales, map features through the generators, synthesize the converted
     contour, re-normalize it, then invert with either the source
     utterance's own stats or the target-corpus stats. The source voicing
-    pattern is reapplied, keeping frame count and frame period.
+    pattern is reapplied, keeping frame count and frame period, and the
+    result is labelled ``emotion_label``.
 
     Between them, ``models`` must map the MCEPs and the wavelet rows once
     each: one joint model, or a spectrum and a prosody model in either
@@ -66,7 +67,7 @@ def convert_utterance(
 
     return replace(
         utt,
-        emotion_label=emotion_label if emotion_label is not None else utt.emotion_label,
+        emotion_label=emotion_label,
         mceps=converted[MCEPS].astype(np.float32),
         f0_hz=f0.astype(np.float32),
     )

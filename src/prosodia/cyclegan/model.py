@@ -178,10 +178,10 @@ class CycleGanModel:
         back afterwards; the input array is never modified. Trained models
         carry per-dimension standardization, applied on the way in and
         inverted with Y's statistics on the way out; both run in float64.
-        The generator runs in float32, the precision UFF stores: each call
-        casts the input and the weights to float32 (a cached copy would go
-        stale when ``train`` updates them in place), and upcasts the output
-        to float64 before it is destandardized.
+        The generator runs in float32, the precision UFF stores and training
+        runs in: each call casts the input to float32, uses a trained model's
+        float32 weights as they are (a loaded checkpoint's float64 weights are
+        cast), and upcasts the output to float64 before it is destandardized.
         """
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.feature_dim:
@@ -197,7 +197,9 @@ class CycleGanModel:
         target = max(int(np.ceil(n / factor)) * factor, factor)
         if target != n:
             feats = np.pad(feats, ((0, 0), (0, target - n)), mode="symmetric")
-        weights = ParamStore({name: Tensor(p.values.astype(np.float32)) for name, p in self.g_xy})
+        weights = ParamStore(
+            {name: Tensor(p.values.astype(np.float32, copy=False)) for name, p in self.g_xy}
+        )
         out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
         out = out.values[:, :n].astype(np.float64)
         if self.feature_stats is not None:

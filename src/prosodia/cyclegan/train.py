@@ -121,6 +121,12 @@ def train(
     standardized as it is sampled, so no standardized copy of the training
     sets is held: standardizing is elementwise and sampling only copies
     values, so the segment is bit for bit the one a standardized set gives.
+
+    Training runs in float32, as conversion does. On entry every store is
+    cast to float32 once, so ``build_model``'s float64 draws and a float64
+    checkpoint train as the values they round to. The statistics and the
+    standardizing run in float64, and each standardized segment pair is then
+    cast, so float32 and float64 feature sets train alike.
     """
     xs = _validate_sets(model, "source_set", source_set)
     ys = _validate_sets(model, "target_set", target_set)
@@ -128,6 +134,9 @@ def train(
     rng = np.random.default_rng(schedule.seed)
     seg = schedule.segment_frames
 
+    for store in model.stores().values():
+        for _, p in store:
+            p.values = p.values.astype(np.float32, copy=False)
     generators = stack_params(model.g_xy, model.g_yx)
     discriminators = stack_params(model.d_y, model.d_x)
     # The G-step's discriminators: plain Tensors over the arena, which see
@@ -147,7 +156,7 @@ def train(
             xy = np.stack((
                 stats.standardize(_sample_segment(xs, rng, seg), "x"),
                 stats.standardize(_sample_segment(ys, rng, seg), "y"),
-            ))
+            )).astype(np.float32)
             lr_g = schedule.learning_rate(schedule.lr_g, t)
             lr_d = schedule.learning_rate(schedule.lr_d, t)
             x_t, y_t = Tensor(xy[0]), Tensor(xy[1])

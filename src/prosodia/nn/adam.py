@@ -3,10 +3,10 @@
 A store is updated as one flat row: its values are a row of an ``Arena``
 (``ParamStore.slot``) and its gradients the same row of the arena's
 gradient buffer, where stacked calls accumulate them in place. The moments
-are flat arrays of the same length, and one pass over the row, in blocks
-that stay in cache, applies the per-tensor arithmetic of textbook Adam in
-its usual order, so every value gets the same bits a per-tensor update
-gives it.
+are flat arrays of the same length and dtype, and one pass over the row, in
+blocks that stay in cache, applies the per-tensor arithmetic of textbook
+Adam in its usual order, so every value gets the same bits a per-tensor
+update gives it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ParamStore) -> "AdamState":
+        """Zero moments in the store's dtype, the precision its updates run in."""
         n = params.n_values()
-        return cls(m=np.zeros(n), v=np.zeros(n))
+        dtype = np.result_type(*(p.values for _, p in params))
+        return cls(m=np.zeros(n, dtype), v=np.zeros(n, dtype))
 
 
 def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
@@ -70,7 +72,7 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    scratch = np.empty((2, min(n, CHUNK)))
+    scratch = np.empty((2, min(n, CHUNK)), w.dtype)
     for start in range(0, n, CHUNK):
         block = slice(start, min(start + CHUNK, n))
         gb, mb, vb = g[block], state.m[block], state.v[block]

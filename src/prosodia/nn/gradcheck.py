@@ -16,12 +16,17 @@ def finite_diff_check(loss_fn, params: ParamStore, h: float = 1e-6,
     ``loss_fn`` must be a deterministic zero-argument callable returning a
     scalar tensor built from ``params``. ``n_probe`` coordinates are chosen
     at random across all parameters; the relative error denominator is
-    max(|analytic|, |numeric|, 1e-12).
+    max(|analytic|, |numeric|, 1e-12). Parameters must be float64: at the
+    step sizes that resolve a gradient, a float32 difference of two losses
+    measures their rounding, not the slope.
     """
     if h <= 0:
         raise ValidationError(f"step size h must be > 0, got {h}")
     if n_probe < 1:
         raise ValidationError(f"n_probe must be >= 1, got {n_probe}")
+    narrow = [name for name, p in params if p.values.dtype != np.float64]
+    if narrow:
+        raise ValidationError(f"finite_diff_check needs float64 parameters, got {narrow[:4]}")
 
     params.clear_grads()
     backward(loss_fn())

@@ -5,8 +5,9 @@ anything else (lists, ints, numpy scalars, arrays of other dtypes) into a
 float64 array. Every op computes in the dtype of its operands: its result,
 the buffers it allocates (conv outputs, im2col columns, GLU and norm
 scratch) and the gradients it passes back all take that dtype, so a graph
-built from float32 Tensors runs in float32 from end to end. Training passes
-float64 only; ``CycleGanModel.convert`` runs the generator in float32.
+built from float32 Tensors runs in float32 from end to end. Training and
+``CycleGanModel.convert`` pass float32 only; float64 serves the
+finite-difference check (``gradcheck``), which float32 rounding defeats.
 
 Every operation returns a new :class:`Tensor`. When it records a graph, the
 result gets a small :class:`_Node` holding the backward closure, the

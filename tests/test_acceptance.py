@@ -292,15 +292,18 @@ def test_c6_toy_conversion_efficacy(tmp_path):
       perfect prosody generator, one that outputs the paired target's own
       wavelet rows, after the target-stats re-normalisation and the source
       voicing this pipeline applies;
-    - conversion 17.3 Hz at OMP_NUM_THREADS=1 and 17.1 Hz at 2 BLAS threads.
-      Training is bit-reproducible only at a fixed thread count.
+    - conversion 17.2 Hz (17.238) at OMP_NUM_THREADS=1 and at 2 BLAS
+      threads, in float32 training; 27.0 and 25.0 Hz at the other seeds,
+      where it does not beat LG. Training is bit-reproducible only at a
+      fixed thread count.
 
     So the LG margin leaves about 3 Hz between the floor and the bound.
 
     Separate-mode F0 reads only the prosody model, so the spectrum model,
     which the system needs to convert at all, trains for one iteration: its
     MCEPs enter no assertion, and the figures above are those of a fully
-    trained spectrum model too.
+    trained spectrum model too. The test takes about 50 s at 1 thread on a
+    2-CPU Xeon (numpy 2.4, OpenBLAS).
     """
     corpus_dir = tmp_path / "corpus"
     manifest = generate_corpus(SynthCorpusSpec(), seed=42, out_dir=corpus_dir)

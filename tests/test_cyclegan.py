@@ -352,7 +352,7 @@ class TestTraining:
             train(model, [], tiny_feature_sets(10), LossWeights(), tiny_schedule())
 
     def test_float32_feature_sets_train_as_their_float64_values(self, tmp_path):
-        """float32 inputs take no float32 training path: same loss log and stores, bit for bit."""
+        """float32 and float64 inputs train alike: same loss log and stores, bit for bit."""
         xs = [f.astype(np.float32) for f in tiny_feature_sets(10, seed=1)]
         ys = [f.astype(np.float32) for f in tiny_feature_sets(10, seed=2)]
         written = []
@@ -365,10 +365,44 @@ class TestTraining:
             out.mkdir()
             log.to_csv(out / "losslog.csv")
             for key, store in model.stores().items():
-                assert all(p.values.dtype == np.float64 for _, p in store)
+                assert all(p.values.dtype == np.float32 for _, p in store)
                 save_params(store, out / f"{key}.prm1")
             written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert written[0] == written[1]
+
+    def test_trains_in_float32_from_a_float64_checkpoint(self, monkeypatch, tmp_path):
+        """A float64 checkpoint trains in float32, and its trained stores save exactly.
+
+        Every store value, Adam moment and loss is float32; PRM1's float64
+        payload holds each float32 value unchanged.
+        """
+        module = importlib.import_module("prosodia.cyclegan.train")
+        dtypes = set()
+
+        def recording_step(store, state, lr, real=module.adam_step):
+            dtypes.update((state.m.dtype, state.v.dtype))
+            real(store, state, lr)
+
+        def recording_backward(loss, real=module.backward):
+            dtypes.add(loss.values.dtype)
+            real(loss)
+
+        monkeypatch.setattr(module, "adam_step", recording_step)
+        monkeypatch.setattr(module, "backward", recording_backward)
+        model = load_model_checkpoint(FIXTURE_CHECKPOINT).model
+        assert {p.values.dtype for store in model.stores().values() for _, p in store} == {
+            np.dtype(np.float64)
+        }
+        xs, ys = tiny_feature_sets(10, seed=1), tiny_feature_sets(10, seed=2)
+        model, log = train(model, xs, ys, LossWeights(id_cutoff_iters=2), tiny_schedule(total=4))
+        assert dtypes == {np.dtype(np.float32)}
+        assert np.isfinite(np.asarray(log.rows)).all()
+        for key, store in model.stores().items():
+            assert all(p.values.dtype == np.float32 for _, p in store)
+            save_params(store, tmp_path / f"{key}.prm1")
+            back = load_params(tmp_path / f"{key}.prm1")
+            for name, p in store:
+                assert np.array_equal(back[name].values, p.values), (key, name)
 
     def test_loss_log_csv_roundtrip(self, tmp_path):
         model = tiny_model(seed=11)
@@ -382,11 +416,14 @@ class TestTraining:
 
 
 def _train_one_call_per_direction(model, source_set, target_set, weights, schedule):
-    """The training loop with one network call per direction and sample."""
+    """The training loop with one network call per direction and sample, in float32."""
     xs = [np.asarray(f, dtype=np.float64) for f in source_set]
     ys = [np.asarray(f, dtype=np.float64) for f in target_set]
     stats = model.feature_stats = FeatureStats.fit(xs, ys)
     r = np.random.default_rng(schedule.seed)
+    for store in model.stores().values():
+        for _, p in store:
+            p.values = p.values.astype(np.float32)
     opt = {key: AdamState.for_params(store) for key, store in model.stores().items()}
     gen, disc = model.gen_config, model.disc_config
     d_params = [p for store in (model.d_x, model.d_y) for _, p in store]
@@ -399,6 +436,7 @@ def _train_one_call_per_direction(model, source_set, target_set, weights, schedu
     for t in range(1, schedule.total_iters + 1):
         x_seg = stats.standardize(_sample_segment(xs, r, schedule.segment_frames), "x")
         y_seg = stats.standardize(_sample_segment(ys, r, schedule.segment_frames), "y")
+        x_seg, y_seg = x_seg.astype(np.float32), y_seg.astype(np.float32)
         lr_g = schedule.learning_rate(schedule.lr_g, t)
         lr_d = schedule.learning_rate(schedule.lr_d, t)
         x_t, y_t = Tensor(x_seg), Tensor(y_seg)
@@ -567,10 +605,13 @@ class TestConvertUtterance:
             utt,
             (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
+            wavelet=WaveletParams(),
             stats_policy="source",
+            emotion_label="B",
         )
         assert out.n_frames == utt.n_frames
         assert out.frame_period_ms == utt.frame_period_ms
+        assert out.emotion_label == "B"
         voiced = utt.voicing_mask
         corr = np.corrcoef(
             np.log(out.f0_hz[voiced].astype(np.float64)),
@@ -586,7 +627,9 @@ class TestConvertUtterance:
             utt,
             (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
+            wavelet=WaveletParams(),
             stats_policy="target",
+            emotion_label="B",
         )
         np.testing.assert_array_equal(out.f0_hz == 0.0, utt.f0_hz == 0.0)
 
@@ -601,18 +644,21 @@ class TestConvertUtterance:
 
         utt = synthetic_utterance(seed=3)
         stats = NormStats(mean=5.5, std=0.2)
-        out = convert_utterance(utt, (JointProbe(),), target_stats=stats, stats_policy="target")
+        out = convert_utterance(utt, (JointProbe(),), target_stats=stats, wavelet=WaveletParams(),
+                                stats_policy="target", emotion_label="B")
         assert JointProbe.seen == (34, utt.n_frames)
         assert out.mceps.shape == (24, utt.n_frames)
 
     def test_model_combination_validated(self):
         utt = synthetic_utterance(seed=4)
         stats = NormStats(mean=5.5, std=0.2)
+        keywords = dict(target_stats=stats, wavelet=WaveletParams(), stats_policy="target",
+                        emotion_label="B")
         with pytest.raises(ValidationError):
-            convert_utterance(utt, (_IdentityModel(),), target_stats=stats)
+            convert_utterance(utt, (_IdentityModel(),), **keywords)
         with pytest.raises(ValidationError):
             # the wavelet rows twice, the MCEPs not at all
-            convert_utterance(utt, (_IdentityModel(), _IdentityModel()), target_stats=stats)
+            convert_utterance(utt, (_IdentityModel(), _IdentityModel()), **keywords)
 
     def test_stats_policy_target_imposes_target_register(self):
         utt = synthetic_utterance(seed=5)
@@ -621,7 +667,9 @@ class TestConvertUtterance:
             utt,
             (_IdentitySpectrumModel(), _IdentityModel()),
             target_stats=stats,
+            wavelet=WaveletParams(),
             stats_policy="target",
+            emotion_label="B",
         )
         voiced_log = np.log(out.f0_hz[out.f0_hz > 0].astype(np.float64))
         assert abs(voiced_log.mean() - np.log(300.0)) < 0.05
@@ -645,7 +693,8 @@ class TestConvertUtterance:
         stats = NormStats(mean=5.5, std=0.2)
         with pytest.raises(ValidationError, match="once each"):
             convert_utterance(synthetic_utterance(seed=6), [Probe(m) for m in modes],
-                              target_stats=stats)
+                              target_stats=stats, wavelet=WaveletParams(),
+                              stats_policy="target", emotion_label="B")
         assert calls == []
 
     def test_separate_models_in_either_order_write_the_same_uff(self, tmp_path):
@@ -655,7 +704,8 @@ class TestConvertUtterance:
         blobs = []
         for i, models in enumerate([(spectrum, prosody.model), (prosody.model, spectrum)]):
             out = convert_utterance(
-                utt, models, target_stats=prosody.stats.target_log_f0, wavelet=prosody.wavelet
+                utt, models, target_stats=prosody.stats.target_log_f0, wavelet=prosody.wavelet,
+                stats_policy="target", emotion_label=prosody.stats.target_emotion,
             )
             write_feature_file(out, tmp_path / f"{i}.uff")
             blobs.append((tmp_path / f"{i}.uff").read_bytes())

@@ -403,6 +403,15 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValidationError):
             finite_diff_check(lambda: total(square(p)), _store(p=p), h=0.0)
 
+    def test_float32_parameters_rejected(self):
+        # In float32, a central difference at the default step measures the
+        # rounding of the two losses, not the gradient.
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(ValidationError, match="float64"):
+            finite_diff_check(lambda: add(total(square(p)), total(square(q))), _store(p=p, q=q))
+        assert p.grad is None and q.grad is None
+
     @pytest.mark.parametrize(
         "name",
         ["conv1d", "conv2d", "residual", "glu", "leaky_relu", "norm1d", "norm2d", "upsample"],
