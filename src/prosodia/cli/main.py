@@ -23,6 +23,7 @@ from prosodia.cli.config import (
     load_run_config,
 )
 from prosodia.cli.synth import SynthCorpusSpec, generate_corpus
+from prosodia.csvio import format_cell, write_table
 from prosodia.cyclegan.checkpoint import check_finished
 from prosodia.cyclegan.convert import reconstruct_f0
 from prosodia.cyclegan.model import MODES
@@ -264,23 +265,13 @@ def cmd_compare(args) -> int:
     rows = []
     with pipeline.OutputDir(args.out) as out:
         for source, target in pairs:
-            pair_config = _pair_config(config, source, target)
-            pair_dir = out / f"{source}2{target}"
-            results = _run_pair(pair_config, pair_dir)
+            split = replace(config.split, source_emotion=source, target_emotion=target)
+            results = _run_pair(replace(config, split=split), out / f"{source}2{target}")
             for system in pipeline.SYSTEMS:
                 rows.append((f"{source}->{target}", system, results[system]))
         _write_compare_outputs(out, rows)
     print((out / "comparison.txt").read_text(encoding="utf-8"), end="")
     return EXIT_OK
-
-
-def _pair_config(config: RunConfig, source: str, target: str) -> RunConfig:
-    import copy
-
-    pair_config = copy.deepcopy(config)
-    pair_config.split.source_emotion = source
-    pair_config.split.target_emotion = target
-    return pair_config
 
 
 def _run_pair(config: RunConfig, pair_dir: Path) -> dict:
@@ -329,39 +320,21 @@ def _run_pair(config: RunConfig, pair_dir: Path) -> dict:
 
 
 def _write_compare_outputs(out: Path, rows: list) -> None:
-    csv_lines = ["pair,system,mcd_db,rmse_hz,pcc"]
-    by_system: dict[str, list] = {}
-    for pair, system, cells in rows:
-        if cells is None:
-            csv_lines.append(f"{pair},{system},FAILED,FAILED,FAILED")
-        else:
-            csv_lines.append(
-                f"{pair},{system},{cells[0]:.9g},{cells[1]:.9g},{cells[2]:.9g}"
-            )
-            by_system.setdefault(system, []).append(cells)
+    """``comparison.csv`` and, from the same table, ``comparison.txt``."""
+    failed = ("FAILED",) * 3
+    table = [(pair, system, *(cells or failed)) for pair, system, cells in rows]
     for system in pipeline.SYSTEMS:
-        cells = by_system.get(system)
-        if cells:
-            means = np.mean(np.asarray(cells), axis=0)
-            csv_lines.append(
-                f"MEAN,{system},{means[0]:.9g},{means[1]:.9g},{means[2]:.9g}"
-            )
-        else:
-            csv_lines.append(f"MEAN,{system},FAILED,FAILED,FAILED")
-    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        scored = [cells for _, name, cells in rows if name == system and cells is not None]
+        table.append(("MEAN", system, *(np.mean(np.asarray(scored), axis=0) if scored else failed)))
+    write_table(out / "comparison.csv", ("pair", "system", "mcd_db", "rmse_hz", "pcc"), table, 9)
 
     header = f"{'pair':<12} {'system':<10} {'MCD [dB]':>10} {'RMSE [Hz]':>10} {'PCC':>8}"
     text = [header, "-" * len(header)]
-    for line in csv_lines[1:]:
-        pair, system, m, r, p = line.split(",")
-        text.append(f"{pair:<12} {system:<10} {_fmt(m):>10} {_fmt(r):>10} {_fmt(p):>8}")
+    for pair, system, *cells in table:
+        # a figure rounds the 9-digit value in comparison.csv, not the full float
+        m, r, p = (c if isinstance(c, str) else f"{float(format_cell(c, 9)):.3f}" for c in cells)
+        text.append(f"{pair:<12} {system:<10} {m:>10} {r:>10} {p:>8}")
     (out / "comparison.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-
-
-def _fmt(cell: str) -> str:
-    if cell == "FAILED":
-        return cell
-    return f"{float(cell):.3f}"
 
 
 if __name__ == "__main__":

@@ -141,9 +141,8 @@ class FeatureStats:
         mean, std = (self.x_mean, self.x_std) if domain == "x" else (self.y_mean, self.y_std)
         return (feats - mean[:, None]) / std[:, None]
 
-    def destandardize(self, feats: np.ndarray, domain: str) -> np.ndarray:
-        mean, std = (self.x_mean, self.x_std) if domain == "x" else (self.y_mean, self.y_std)
-        return feats * std[:, None] + mean[:, None]
+    def destandardize(self, feats: np.ndarray) -> np.ndarray:
+        return feats * self.y_std[:, None] + self.y_mean[:, None]
 
 
 @dataclass
@@ -203,7 +202,7 @@ class CycleGanModel:
         out = forward_generator(weights, self.gen_config, Tensor(feats.astype(np.float32)))
         out = out.values[:, :n].astype(np.float64)
         if self.feature_stats is not None:
-            out = self.feature_stats.destandardize(out, "y")
+            out = self.feature_stats.destandardize(out)
         return out
 
 

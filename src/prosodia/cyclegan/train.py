@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from prosodia.csvio import read_table, write_table
 from prosodia.errors import NumericError, ValidationError
 from prosodia.cyclegan.losses import (
     DISCRIMINATOR_SIDE,
@@ -20,7 +20,7 @@ from prosodia.nn.adam import AdamState, adam_step
 from prosodia.nn.network import ParamStore, forward_discriminator, forward_generator, stack_params
 from prosodia.nn.tensor import Tensor, add, add_leading_axis, backward, scale, take
 
-LOSS_COLUMNS = ("iter", "lr", "adv_g", "adv_d", "cyc", "id")
+LOSS_COLUMNS = {"iter": int, "lr": float, "adv_g": float, "adv_d": float, "cyc": float, "id": float}
 
 
 @dataclass
@@ -30,22 +30,11 @@ class LossLog:
     rows: list
 
     def to_csv(self, path) -> None:
-        lines = [",".join(LOSS_COLUMNS)]
-        for row in self.rows:
-            it = int(row[0])
-            lines.append(f"{it}," + ",".join(f"{v:.12g}" for v in row[1:]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(path, LOSS_COLUMNS, self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "LossLog":
-        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-        if not lines or lines[0] != ",".join(LOSS_COLUMNS):
-            raise ValidationError(f"{path}: not a loss log CSV")
-        rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            rows.append((int(cells[0]),) + tuple(float(c) for c in cells[1:]))
-        return cls(rows=rows)
+        return cls(rows=read_table(path, LOSS_COLUMNS))
 
 
 def _sample_segment(feature_sets: list, rng: np.random.Generator, length: int) -> np.ndarray:

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from prosodia.errors import NumericError, ValidationError
+from prosodia.csvio import read_table, write_table
+from prosodia.errors import FormatError, NumericError, ValidationError
 from prosodia.prosody.f0 import interpolate_unvoiced
 
 ALIGN_NONE = "none"
 ALIGN_LINEAR = "linear-resample"
 
-REPORT_HEADER = "pair_id,mcd_db,rmse_hz,pcc"
+REPORT_COLUMNS = {"pair_id": str, "mcd_db": float, "rmse_hz": float, "pcc": float}
 
 
 def mcd(converted, target) -> float:
@@ -139,26 +139,17 @@ def evaluate_pairs(converted, targets, align: str = ALIGN_NONE) -> EvalReport:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    lines = [REPORT_HEADER]
-    for r in report.rows:
-        lines.append(f"{r.pair_id},{r.mcd_db:.12g},{r.rmse_hz:.12g},{r.pcc:.12g}")
-    lines.append(f"MEAN,{report.mean_mcd:.12g},{report.mean_rmse:.12g},{report.mean_pcc:.12g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(r.pair_id, r.mcd_db, r.rmse_hz, r.pcc) for r in report.rows]
+    mean = ("MEAN", report.mean_mcd, report.mean_rmse, report.mean_pcc)
+    write_table(path, REPORT_COLUMNS, [*rows, mean])
 
 
 def read_report_csv(path) -> EvalReport:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValidationError(f"{path}: not an evaluation report CSV")
-    rows = []
-    mean_row = None
-    for line in lines[1:]:
-        pair_id, m, r, p = line.split(",")
-        if pair_id == "MEAN":
-            mean_row = (float(m), float(r), float(p))
-        else:
-            rows.append(EvalRow(pair_id, float(m), float(r), float(p)))
-    report = EvalReport.from_rows(rows)
-    if mean_row is None:
-        raise ValidationError(f"{path}: missing MEAN row")
-    return report
+    """The report's pair rows; its means are recomputed from them, not read."""
+    rows = read_table(path, REPORT_COLUMNS)
+    pairs = [EvalRow(*row) for row in rows if row[0] != "MEAN"]
+    if len(pairs) == len(rows):
+        raise FormatError(f"{path}: missing MEAN row")
+    if not pairs:
+        raise FormatError(f"{path}: no pair rows")
+    return EvalReport.from_rows(pairs)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from prosodia.errors import ValidationError
+from prosodia.csvio import read_table, write_table
+from prosodia.errors import FormatError, ValidationError
 
 DEFAULT_TAU0 = 0.005
 DEFAULT_N_SCALES = 10
@@ -210,21 +210,19 @@ def cwt_reconstruct(matrix: CwtMatrix) -> np.ndarray:
     return weights @ matrix.coeffs
 
 
+def _scalogram_columns(n_scales: int) -> dict:
+    return {"frame": int, **{f"scale{i}": float for i in range(1, n_scales + 1)}}
+
+
 def export_scalogram_csv(matrix: CwtMatrix, path) -> None:
     """Write the coefficient matrix as CSV: frame index plus one column per scale."""
-    k = matrix.params.n_scales
-    header = "frame," + ",".join(f"scale{i}" for i in range(1, k + 1))
-    lines = [header]
-    for frame in range(matrix.n_frames):
-        cells = ",".join(f"{v:.12g}" for v in matrix.coeffs[:, frame])
-        lines.append(f"{frame},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(frame, *column) for frame, column in enumerate(matrix.coeffs.T)]
+    write_table(path, _scalogram_columns(matrix.params.n_scales), rows)
 
 
 def read_scalogram_csv(path) -> np.ndarray:
     """Parse a scalogram CSV back into a scale-by-frame float64 matrix."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or not lines[0].startswith("frame,scale1"):
-        raise ValidationError(f"{path}: not a scalogram CSV")
-    rows = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    return np.asarray(rows, dtype=np.float64).T
+    rows = read_table(path, lambda width: _scalogram_columns(max(width - 1, 1)))
+    if not rows:
+        raise FormatError(f"{path}: no frames")
+    return np.asarray(rows, dtype=np.float64)[:, 1:].T

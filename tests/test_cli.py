@@ -974,4 +974,8 @@ class TestCompareCommand:
 
         out2 = tmp_path / "cmp2"
         assert main(["compare", "--config", str(tiny_config), "--out", str(out2)]) == 0
-        assert csv_path.read_bytes() == (out2 / "comparison.csv").read_bytes()
+        files = sorted(str(p.relative_to(out1)) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(out2)) for p in out2.rglob("*") if p.is_file())
+        assert {"comparison.csv", "comparison.txt"} <= set(files)
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
