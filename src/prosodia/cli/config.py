@@ -1,7 +1,9 @@
-"""Run configuration: one JSON document validated up front.
+"""Run configuration: one JSON document, read whole by the JSON codec.
 
-Command-line flags override individual keys; validation collects every
-problem before aborting so a bad config is reported exhaustively.
+``--paper-scale``, ``--seed`` and ``--mode`` override keys of the decoded
+document; ``from_json`` then reads it into a ``RunConfig`` and lists every
+bad key, by its dotted path, in one ``ValidationError``. Relative paths are
+resolved against the config file's directory, and the manifest must exist.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 from prosodia.errors import ValidationError
 from prosodia.cyclegan.convert import STATS_SOURCE, STATS_TARGET
 from prosodia.cyclegan.model import MODE_SPECTRUM, MODES, LossWeights, TrainSchedule
-from prosodia.jsonio import REQUIRED, from_json, read_json
+from prosodia.jsonio import REQUIRED, from_json, one_of, read_json, to_json
 from prosodia.metrics import ALIGN_LINEAR, ALIGN_NONE
 from prosodia.prosody.cwt import WaveletParams
 
@@ -52,6 +54,10 @@ class NetworkOverrides:
     base_channels: int = 32
     n_residual: int = 4
 
+    def __post_init__(self):
+        if self.base_channels < 1 or self.n_residual < 0:
+            raise ValidationError("network needs base_channels >= 1 and n_residual >= 0")
+
 
 @dataclass
 class RunConfig:
@@ -65,22 +71,16 @@ class RunConfig:
             total_iters=5000, constant_lr_iters=2500, decay_iters=2500
         )
     )
-    mode: str = MODE_SPECTRUM
-    stats_policy: str = STATS_TARGET
+    mode: str = field(default=MODE_SPECTRUM, metadata=one_of(MODE_NAMES))
+    stats_policy: str = field(default=STATS_TARGET, metadata=one_of(STATS_POLICIES))
     seed: int = 0
     split: SplitSpec = field(default_factory=SplitSpec)
-    pairs: list = field(default_factory=list)
-    align: str = ALIGN_NONE
-
-
-def _collect(errors: list, condition: bool, message: str) -> bool:
-    if not condition:
-        errors.append(message)
-    return condition
+    pairs: list[tuple[str, str]] = field(default_factory=list)
+    align: str = field(default=ALIGN_NONE, metadata=one_of(ALIGN_NAMES))
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse, apply overrides, and validate; raises with every error listed."""
+    """The run config at ``path`` with ``overrides``; raises with every bad key listed."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
@@ -89,11 +89,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
-    errors: list[str] = []
     raw = dict(raw)  # the overrides below edit a copy
 
-    def override(name, values):
-        section = {} if raw.get(name) is None else raw[name]
+    def override(name, values):  # over the file's section, or the default one
+        section = raw[name] if name in raw else to_json(getattr(RunConfig(), name))
         if isinstance(section, dict):  # any other section fails to parse below
             raw[name] = {**section, **values}
 
@@ -105,83 +104,14 @@ def build_run_config(raw: dict, base_dir: Path, overrides: dict) -> RunConfig:
         override("schedule", {"seed": overrides["seed"]})
     if overrides.get("mode") is not None:
         raw["mode"] = overrides["mode"]
-
-    defaults = RunConfig()
-
-    def parse_section(name, cls):
-        section = raw.get(name)
-        if section is not None:
-            try:
-                return from_json(cls, section)
-            except (ValidationError, KeyError, TypeError, ValueError) as err:
-                errors.append(f"{name}: {err}")
-        return getattr(defaults, name)
-
-    wavelet = parse_section("wavelet", WaveletParams)
-    weights = parse_section("weights", LossWeights)
-    schedule = parse_section("schedule", TrainSchedule)
-    network = parse_section("network", NetworkOverrides)
-    split = parse_section("split", SplitSpec)
-
-    manifest = _path(raw, "manifest", base_dir, errors)
-    if manifest is not None:
-        _collect(errors, manifest.exists(), f"manifest does not exist: {manifest}")
-    output_dir = _path(raw, "output_dir", base_dir, errors)
-
-    mode = _spelled(raw, "mode", MODE_NAMES, MODE_SPECTRUM, errors)
-    stats_policy = _spelled(raw, "stats_policy", STATS_POLICIES, STATS_TARGET, errors)
-    align = _spelled(raw, "align", ALIGN_NAMES, ALIGN_NONE, errors)
-    seed = raw.get("seed", 0)
-    _collect(errors, isinstance(seed, int), f"seed must be an integer, got {seed!r}")
-    _collect(
-        errors,
-        network.base_channels >= 1 and network.n_residual >= 0,
-        "network overrides must have base_channels >= 1 and n_residual >= 0",
-    )
-
-    pairs = raw.get("pairs", [])
-    ok = isinstance(pairs, list) and all(
-        isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
-    )
-    _collect(errors, ok, "pairs must be a list of [source_emotion, target_emotion] pairs")
-    if not ok:
-        pairs = []
-
-    if errors:
-        raise ValidationError(
-            "invalid configuration:\n  - " + "\n  - ".join(str(e) for e in errors)
-        )
-    return RunConfig(
-        manifest=manifest,
-        output_dir=output_dir,
-        wavelet=wavelet,
-        network=network,
-        weights=weights,
-        schedule=schedule,
-        mode=mode,
-        stats_policy=stats_policy,
-        seed=int(seed),
-        split=split,
-        pairs=[tuple(p) for p in pairs],
-        align=align,
-    )
-
-
-def _spelled(raw: dict, key: str, names: dict, default: str, errors: list) -> str:
-    """The name that ``raw[key]`` (``default`` if absent) spells in ``names``."""
-    value = raw.get(key, default)
-    if isinstance(value, str) and value in names:
-        return names[value]
-    errors.append(f"{key} must be one of {tuple(names)}, got {value!r}")
-    return default
-
-
-def _path(raw: dict, key: str, base_dir: Path, errors: list) -> Path | None:
-    """``raw[key]`` as a path resolved against ``base_dir``, or None if absent."""
-    value = raw.get(key)
-    if value is None or not _collect(
-        errors, isinstance(value, str), f"{key} must be a path string, got {value!r}"
-    ):
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else base_dir / path
+    try:
+        config = from_json(RunConfig, raw)
+    except ValueError as err:
+        raise ValidationError(str(err)) from err
+    for name in ("manifest", "output_dir"):
+        path = getattr(config, name)
+        if path is not None and not path.is_absolute():
+            setattr(config, name, base_dir / path)
+    if config.manifest is not None and not config.manifest.exists():
+        raise ValidationError(f"manifest does not exist: {config.manifest}")
+    return config

@@ -180,7 +180,7 @@ def load_system(system: str, *, stats_policy: str, **ckpts):
         lg = load_lg_stats(_checkpoint(ckpts, MODE_BASELINE, system))
         spectrum = None
         if ckpts.get(f"{MODES[MODE_SPECTRUM].name}_ckpt") is not None:
-            spectrum = _load_checked(ckpts, MODE_SPECTRUM, system, lg.target_emotion)
+            spectrum = _load_checked(ckpts, MODE_SPECTRUM, system, _emotions(lg))
 
         def convert(utt: UtteranceFeatures) -> UtteranceFeatures:
             f0 = lg_transform(np.asarray(utt.f0_hz, dtype=np.float64), lg.source, lg.target)
@@ -192,8 +192,8 @@ def load_system(system: str, *, stats_policy: str, **ckpts):
         raise ValidationError(f"unknown conversion system {system!r}, expected one of {SYSTEMS}")
     loaded = []
     for mode in SYSTEM_MODES[system]:
-        target = loaded[0].stats.target_emotion if loaded else None
-        loaded.append(_load_checked(ckpts, mode, system, target))
+        emotions = _emotions(loaded[0].stats) if loaded else None
+        loaded.append(_load_checked(ckpts, mode, system, emotions))
     models = [ckpt.model for ckpt in loaded]
     # the checkpoint that maps F0, whose wavelet and target stats conversion uses
     f0_ckpt = next(ckpt for ckpt in loaded if CWT in MODES[ckpt.model.mode].blocks)
@@ -219,18 +219,23 @@ def _checkpoint(ckpts: dict, name: str, system: str):
     return ckpt
 
 
-def _load_checked(ckpts: dict, mode: str, system: str, target: str | None = None):
-    """The ``mode`` model checkpoint, whose target emotion, if given, is ``target``."""
+def _emotions(stats) -> tuple[str, str]:
+    """The (source, target) emotions of a ``CorpusStats`` or ``BaselineStats``."""
+    return stats.source_emotion, stats.target_emotion
+
+
+def _load_checked(ckpts: dict, mode: str, system: str, emotions: tuple | None = None):
+    """The ``mode`` model checkpoint, whose (source, target) emotions are ``emotions`` if given."""
     ckpt = _checkpoint(ckpts, MODES[mode].name, system)
     loaded = load_model_checkpoint(ckpt)
     if loaded.model.mode != mode:
         raise ValidationError(
             f"checkpoint {ckpt} holds a {loaded.model.mode!r} model, but {mode!r} is required"
         )
-    if target is not None and loaded.stats.target_emotion != target:
+    if emotions is not None and _emotions(loaded.stats) != emotions:
         raise ValidationError(
-            f"checkpoint {ckpt} has target emotion {loaded.stats.target_emotion!r}, but the "
-            f"other {system} checkpoint has {target!r}"
+            f"checkpoint {ckpt} has (source, target emotion) {_emotions(loaded.stats)}, but the "
+            f"other {system} checkpoint has {emotions}"
         )
     return loaded
 

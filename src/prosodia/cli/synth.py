@@ -41,7 +41,6 @@ class EmotionSpec:
             raise ValidationError(f"f0_log_std out of range: {self.f0_log_std}")
         if any(g <= 0 for g in self.component_gains):
             raise ValidationError("component gains must be > 0")
-        object.__setattr__(self, "component_gains", tuple(self.component_gains))
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class SynthCorpusSpec:
                     f"emotion {name!r} needs one gain per contour period "
                     f"({len(self.contour_periods)})"
                 )
-        object.__setattr__(self, "contour_periods", tuple(self.contour_periods))
 
     @property
     def n_ids(self) -> int:

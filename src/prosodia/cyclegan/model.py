@@ -67,8 +67,9 @@ class LossWeights:
     id_cutoff_iters: int = 10_000
 
     def __post_init__(self):
-        if self.lambda_cyc < 0 or self.lambda_id < 0 or self.id_cutoff_iters < 0:
-            raise ValidationError("loss weights and cutoff must be >= 0")
+        finite = 0 <= self.lambda_cyc < np.inf and 0 <= self.lambda_id < np.inf
+        if not finite or self.id_cutoff_iters < 0:
+            raise ValidationError("loss weights must be finite and >= 0, and the cutoff >= 0")
 
 
 @dataclass
@@ -89,8 +90,8 @@ class TrainSchedule:
             )
         if self.total_iters < 1:
             raise ValidationError("total_iters must be >= 1")
-        if self.lr_g <= 0 or self.lr_d <= 0:
-            raise ValidationError("learning rates must be > 0")
+        if not (0 < self.lr_g < np.inf and 0 < self.lr_d < np.inf):
+            raise ValidationError("learning rates must be finite and > 0")
         if self.segment_frames < 4 or self.segment_frames % 4:
             raise ValidationError("segment_frames must be a positive multiple of 4")
 

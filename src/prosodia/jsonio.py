@@ -1,15 +1,21 @@
 """The one JSON codec: every config, checkpoint and stats file goes through here.
 
 A file's keys and defaults are those of its dataclass. ``to_json`` writes
-each field under its name; ``from_json`` reads them back, casting each value
-by the field's annotation, and takes the field's default for an absent key.
+each field under its name; ``from_json`` reads them back and takes the
+field's default for an absent key. It casts each value strictly by the
+field's annotation and never coerces one JSON type to another: an int takes
+a JSON integer (not a bool, not 1.0), a float a finite integer or number, a
+str a string, and a tuple, list or array an array of such items. It lists
+every key it cannot take, each by its dotted path, in one ``ValueError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
+import sys
 import types
 import typing
 from pathlib import Path
@@ -22,6 +28,18 @@ from prosodia.errors import ValidationError
 REQUIRED = {"json_required": True}
 
 _JSON_TYPES = {dict: "object", list: "array"}
+_MAX = sys.float_info.max
+_ABSENT = object()  # the value of a key a record needs and its object lacks
+
+
+class _Bad(Exception):
+    """Every problem under one value, as (path below the value, message) pairs."""
+
+
+def one_of(names: dict) -> dict:
+    """Field metadata for a string spelled as a key of ``names``, read as that key's value."""
+    spelled = _leaf(f"one of {tuple(names)}", lambda v: type(v) is str and v in names, names.get)
+    return {"json_cast": spelled}
 
 
 def to_json(obj):
@@ -40,72 +58,131 @@ def to_json(obj):
 
 
 def from_json(cls, data):
-    """An instance of dataclass ``cls`` from a decoded JSON object.
+    """An instance of dataclass ``cls`` from a decoded JSON object; unknown keys are ignored.
 
-    Raises ``KeyError`` naming a missing key, and ``TypeError`` or
-    ``ValueError`` for a value its field's annotation cannot take; the
-    constructor's own checks raise as they do. Unknown keys are ignored.
+    Raises one ``ValueError`` listing each missing key, each value its field
+    cannot take and each failed constructor check under its dotted path
+    (``'schedule.total_iters'``, ``'pairs[1][0]'``). A record with a bad
+    field is not constructed.
     """
-    _expect(data, dict)
-    kwargs = {}
-    for name, cast, required in _schema(cls):
-        if name in data:
-            try:
-                kwargs[name] = cast(data[name])
-            except (OverflowError, RecursionError) as err:  # int(inf), float(10**400)
-                raise ValueError(f"{name}: {err}") from err
-        elif required:
-            raise KeyError(name)
-    return cls(**kwargs)
+    try:
+        return _record(cls, data)
+    except _Bad as bad:
+        problems = [f"{path.lstrip('.')!r}: {message}" if path else message
+                    for path, message in bad.args[0]]
+        raise ValueError("\n  - ".join([f"malformed {cls.__name__}:", *problems])) from None
+
+
+def _record(cls, data):
+    if not isinstance(data, dict):
+        raise _rejected("an object", data)
+    kwargs = _each((name, cast, data.get(name, _ABSENT))
+                   for name, cast, required in _schema(cls) if required or name in data)
+    try:
+        return cls(**kwargs)
+    except ValidationError as err:
+        raise _Bad([("", str(err))]) from None
+
+
+def _each(items) -> dict:
+    """Each ``(key, cast, value)`` item's key and cast value; raises every item's problems."""
+    values, problems = {}, []
+    for key, cast, value in items:
+        try:
+            if value is _ABSENT:
+                raise _Bad([("", "missing required key")])
+            values[key] = cast(value)
+        except _Bad as bad:
+            step = f"[{key}]" if isinstance(key, int) else f".{key}"
+            problems += [(step + path, message) for path, message in bad.args[0]]
+    if problems:
+        raise _Bad(problems)
+    return values
 
 
 @functools.cache
 def _schema(cls) -> tuple:
     """(name, cast, required) per init field, built once per class."""
-    hints = typing.get_type_hints(cls)
+    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
     return tuple(
-        (
-            f.name,
-            _caster(hints[f.name]),
-            f.metadata.get("json_required", False)
-            or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING),
-        )
-        for f in dataclasses.fields(cls)
-        if f.init
+        (f.name, f.metadata.get("json_cast") or _caster(hints[f.name]),
+         f.metadata.get("json_required", False) or f.default is f.default_factory is missing)
+        for f in dataclasses.fields(cls) if f.init
     )
 
 
 def _caster(kind):
-    """The function that casts a decoded JSON value to annotation ``kind``."""
+    """The cast of a decoded JSON value to annotation ``kind``; it raises ``_Bad``."""
     if dataclasses.is_dataclass(kind):
-        return functools.partial(from_json, kind)
-    if kind in (float, int, str):
-        return kind
+        return functools.partial(_record, kind)
+    if kind in _LEAVES:
+        return _LEAVES[kind]
     if kind is np.ndarray:
-        return functools.partial(np.asarray, dtype=np.float64)
+        return _items(functools.partial(np.array, dtype=np.float64), _LEAVES[float])
+    if kind is tuple:
+        return _INT_ARRAYS
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is typing.Union or origin is types.UnionType:  # X | None
-        (inner,) = (a for a in args if a is not type(None))
-        cast = _caster(inner)
+        cast = _caster(args[0])
         return lambda value: None if value is None else cast(value)
-    if kind is tuple or origin is tuple:
-        item = _caster(args[0]) if args else _tuple_if_list  # tuple[X, ...] or tuple
-        return lambda value: tuple(map(item, value))
+    if origin is tuple and args[-1] is not Ellipsis:  # tuple[X, Y]
+        return _items(tuple, tuple(map(_caster, args)))
+    if origin in (tuple, list):  # tuple[X, ...], list[X]
+        return _items(origin, _caster(args[0]))
     if origin is dict:  # dict[str, X]
-        item = _caster(args[1])
-        return lambda value: {k: item(v) for k, v in _expect(value, dict).items()}
-    return lambda value: value
+        return functools.partial(_object, _caster(args[1]))
+    raise TypeError(f"no JSON cast for annotation {kind!r}")
 
 
-def _tuple_if_list(value):
-    """Nested arrays become nested tuples, as a discriminator's kernel sizes are."""
-    return tuple(value) if isinstance(value, list) else value
+def _leaf(expected: str, takes, convert):
+    def cast(value):
+        if takes(value):
+            return convert(value)
+        raise _rejected(expected, value)
+
+    return cast
 
 
-def _expect(value, kind: type):
-    if not isinstance(value, kind):
-        raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
-    return value
+# The cast of each leaf annotation: what an error says it takes, its test, its conversion.
+# Each test takes only the JSON types it names: a bool is no integer, NaN no finite number.
+_LEAVES = {
+    int: _leaf("an integer", lambda v: type(v) is int, int),
+    float: _leaf("a finite number", lambda v: type(v) in (int, float) and abs(v) <= _MAX, float),
+    str: _leaf("a string", lambda v: type(v) is str, str),
+    Path: _leaf("a path string", lambda v: type(v) is str, Path),
+}
+
+
+def _items(container, item):
+    """An array cast into ``container``: each item by ``item``, or by position by a tuple."""
+    fixed = isinstance(item, tuple)
+
+    def cast(value):
+        if not isinstance(value, list) or fixed and len(value) != len(item):
+            shape = f"an array of {len(item)} items" if fixed else "an array"
+            raise _rejected(shape, value)
+        casts = item if fixed else itertools.repeat(item)
+        return container([*_each(zip(itertools.count(), casts, value)).values()])
+
+    return cast
+
+
+# A bare ``tuple``: an array of integers or of integer arrays, as kernel sizes are.
+_INT_ARRAY = _items(tuple, _LEAVES[int])
+_INT_ARRAYS = _items(tuple, lambda v: (_INT_ARRAY if isinstance(v, list) else _LEAVES[int])(v))
+
+
+def _object(item, value):
+    if not isinstance(value, dict):
+        raise _rejected("an object", value)
+    return _each((key, item, v) for key, v in value.items())
+
+
+def _rejected(expected: str, value) -> _Bad:
+    """The problem of ``value`` not being ``expected``, named in JSON terms."""
+    kind = _JSON_TYPES.get(type(value))
+    got = f"an {kind}" if kind else json.dumps(value, default=repr)
+    return _Bad([("", f"expected {expected}, got {got}")])
 
 
 def read_json(path, error: type[Exception], expect: type = dict):
@@ -127,15 +204,14 @@ def read_json(path, error: type[Exception], expect: type = dict):
 def read_record(path, cls, error: type[Exception], defaults: dict | None = None):
     """A ``cls`` from the JSON object at ``path``, over ``defaults`` for keys it leaves out.
 
-    Any malformed file, down to a value ``cls`` rejects, raises ``error`` naming it.
+    Any malformed file, down to a value ``cls`` rejects, raises ``error``
+    naming it and listing every bad key.
     """
     data = {**(defaults or {}), **read_json(path, error)}
     try:
         return from_json(cls, data)
-    except KeyError as err:
-        raise error(f"{path}: missing required key {err.args[0]!r}") from err
-    except (TypeError, ValueError, ValidationError) as err:
-        raise error(f"{path}: malformed {cls.__name__} ({err})") from err
+    except ValueError as err:
+        raise error(f"{path}: {err}") from err
 
 
 def json_text(obj) -> str:

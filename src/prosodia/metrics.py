@@ -145,11 +145,18 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
-    """The report's pair rows; its means are recomputed from them, not read."""
+    """The report's pair rows, and the means its MEAN row holds to 12 digits."""
     rows = read_table(path, REPORT_COLUMNS)
     pairs = [EvalRow(*row) for row in rows if row[0] != "MEAN"]
-    if len(pairs) == len(rows):
+    means = [row[1:] for row in rows if row[0] == "MEAN"]
+    if not means:
         raise FormatError(f"{path}: missing MEAN row")
     if not pairs:
         raise FormatError(f"{path}: no pair rows")
-    return EvalReport.from_rows(pairs)
+    cells = np.array([row[1:] for row in rows])
+    computed = cells[[row[0] != "MEAN" for row in rows]].mean(axis=0)
+    for mean in means:  # each cell is off by half its 12th digit at most
+        if not (np.abs(np.subtract(mean, computed)) <= 2e-11 * np.abs(cells).max(axis=0)).all():
+            raise FormatError(f"{path}: MEAN row {mean} is not the mean of the pair rows, "
+                              f"{tuple(computed.tolist())}")
+    return EvalReport(tuple(pairs), *means[-1])

@@ -72,8 +72,10 @@ class NetworkConfig:
                     "generators must have n_downsample == n_upsample "
                     f"(got {self.n_downsample}/{self.n_upsample})"
                 )
-            if len(self.kernel_sizes) != 5:
-                raise ValidationError("generator kernel_sizes must list 5 entries")
+            if len(self.kernel_sizes) != 5 or not all(
+                type(k) is int and k >= 1 for k in self.kernel_sizes
+            ):
+                raise ValidationError("generator kernel_sizes must list 5 ints >= 1")
         elif len(self.kernel_sizes) != 4 or not all(
             isinstance(k, tuple) and len(k) == 2 and all(type(v) is int and v >= 1 for v in k)
             for k in self.kernel_sizes
@@ -82,7 +84,6 @@ class NetworkConfig:
                 f"discriminator kernel_sizes must list 4 (height, width) pairs of ints >= 1, "
                 f"got {self.kernel_sizes!r}"
             )
-        object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
 
 
 def generator_config(in_channels: int, base_channels: int = 32, n_residual: int = 4) -> NetworkConfig:

@@ -544,6 +544,28 @@ class TestConvertCommand:
                 baseline_ckpt=base_c, spectrum_ckpt=spec_dir,
             )
 
+    @pytest.mark.parametrize("system", ["separate", "baseline"])
+    def test_checkpoints_with_other_source_emotions_rejected(
+        self, tiny_config, trained, tmp_path, capsys, system
+    ):
+        spec_dir, pros_dir, base_dir = trained
+        edited = tmp_path / "edited"
+        shutil.copytree(pros_dir if system == "separate" else spec_dir, edited)
+        meta = json.loads((edited / "metadata.json").read_text())
+        meta["stats"]["source_emotion"] = "C"
+        (edited / "metadata.json").write_text(json.dumps(meta))
+        flags = {
+            "separate": ["--mode", "prosody", "--spectrum-ckpt", str(spec_dir),
+                         "--prosody-ckpt", str(edited)],
+            "baseline": ["--mode", "baseline", "--baseline-ckpt", str(base_dir),
+                         "--spectrum-ckpt", str(edited)],
+        }
+        rc = main(["convert", "--config", str(tiny_config), *flags[system],
+                   "--out", str(tmp_path / "conv")])
+        assert rc == 1
+        assert "('C', 'B')" in capsys.readouterr().err
+        assert not (tmp_path / "conv").exists()
+
     @pytest.mark.parametrize("kind", ["prosody", "baseline"])
     def test_half_written_checkpoint_rejected(self, tiny_config, trained, tmp_path, capsys, kind):
         spec_dir, pros_dir, base_dir = trained
@@ -902,6 +924,57 @@ def _escape(text: str, edit: str, section: str, key: str) -> str:
     payload[section][key] = float("inf") if edit == "infinite_int" else 0
     text = json.dumps(payload)
     return text.replace(f'"{key}": 0', f'"{key}": {LONG_INT}') if edit == "long_int" else text
+
+
+# Values the JSON reader once coerced without complaint: section, key and JSON text.
+COERCED = [
+    ("schedule", "total_iters", "1500.9"),
+    ("schedule", "constant_lr_iters", "true"),
+    ("wavelet", "tau0", "true"),
+    ("wavelet", "n_scales", '"10"'),
+    ("schedule", "lr_g", "NaN"),
+]
+COERCED_IDS = [f"{section}.{key}={value}" for section, key, value in COERCED]
+
+
+class TestStrictJsonTypes:
+    """A value of another JSON type than its field's exits 1 or 2 and names its dotted key."""
+
+    @pytest.mark.parametrize("section, key, value", COERCED, ids=COERCED_IDS)
+    def test_run_config(self, tiny_config, tmp_path, capsys, section, key, value):
+        raw = json.loads(tiny_config.read_text())
+        raw.setdefault(section, {})[key] = json.loads(value)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value", COERCED, ids=COERCED_IDS)
+    def test_checkpoint_metadata(self, tiny_config, trained, tmp_path, capsys, section, key, value):
+        spec_dir, pros_dir, _ = trained
+        bad = tmp_path / "pros"
+        shutil.copytree(pros_dir, bad)
+        meta = json.loads((bad / "metadata.json").read_text())
+        meta[section][key] = json.loads(value)
+        (bad / "metadata.json").write_text(json.dumps(meta), encoding="utf-8")
+        rc = main([
+            "convert", "--config", str(tiny_config), "--mode", "spectrum",
+            "--spectrum-ckpt", str(spec_dir), "--prosody-ckpt", str(bad),
+            "--out", str(tmp_path / "conv"),
+        ])
+        assert rc == 2
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"contour_periods": "789"}', encoding="utf-8")
+        rc = main(["synth-corpus", "--out", str(tmp_path / "corpus"), "--seed", "3",
+                   "--synth-spec", str(spec)])
+        assert rc == 1
+        assert "'contour_periods'" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestEvaluateCommand:

@@ -112,6 +112,18 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             LossWeights(lambda_cyc=-1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lr_g", "lr_d"])
+    def test_non_finite_learning_rates_rejected(self, name, lr):
+        with pytest.raises(ValidationError, match="learning rates"):
+            TrainSchedule(total_iters=2, constant_lr_iters=1, decay_iters=1, **{name: lr})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lambda_cyc", "lambda_id"])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ValidationError, match="loss weights"):
+            LossWeights(**{name: value})
+
 
 def tiny_feature_sets(channels, n_utts=2, frames=48, seed=0):
     r = np.random.default_rng(seed)

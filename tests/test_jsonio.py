@@ -65,14 +65,14 @@ class TestCodec:
         assert set(to_json(schedule)) == {f.name for f in dataclasses.fields(TrainSchedule)}
 
     def test_missing_key_named_and_unknown_keys_ignored(self):
-        with pytest.raises(KeyError, match="decay_iters"):
+        with pytest.raises(ValueError, match="'decay_iters': missing required key"):
             from_json(TrainSchedule, {"total_iters": 2, "constant_lr_iters": 1})
         weights = from_json(LossWeights, {"lambda_cyc": 3, "extra": [1]})
         assert weights == LossWeights(lambda_cyc=3.0)
         assert type(weights.lambda_cyc) is float
 
     def test_split_section_names_both_emotions(self):
-        with pytest.raises(KeyError, match="target_emotion"):
+        with pytest.raises(ValueError, match="'target_emotion': missing required key"):
             from_json(SplitSpec, {"source_emotion": "A"})
         assert SplitSpec(n_train_each=3, n_eval=1).target_emotion == "B"
 
@@ -150,7 +150,7 @@ def raises_only(call, errors, edit):
         pytest.fail(f"{edit}: {err!r}")
 
 
-MAPPED = (KeyError, TypeError, ValueError, ValidationError)
+MAPPED = ValueError  # from_json lists every bad key in one ValueError
 
 
 @pytest.mark.parametrize("cls", DOCUMENTS, ids=lambda c: c.__name__)
@@ -199,3 +199,122 @@ def test_run_config_raises_only_validation_error(raw, overrides):
         lambda: build_run_config(raw, base_dir=FIXTURES, overrides=overrides),
         ValidationError, (raw, overrides),
     )
+
+
+# -- strict types -------------------------------------------------------------
+
+
+def dotted(path) -> str:
+    """How an error names the key at ``path``: ``schedule.total_iters``, ``pairs[0][1]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# Each reader of a record file, the one error it raises and a valid document.
+READERS = {
+    "Metadata": (lambda p: read_record(p, Metadata, FormatError), FormatError, DOCUMENTS[Metadata]),
+    "BaselineStats": (
+        lambda p: read_record(p, BaselineStats, FormatError), FormatError, DOCUMENTS[BaselineStats]
+    ),
+    "SynthCorpusSpec": (
+        lambda p: read_record(p, SynthCorpusSpec, ValidationError), ValidationError,
+        DOCUMENTS[SynthCorpusSpec],
+    ),
+    "RunConfig": (load_run_config, ValidationError, CONFIG),
+}
+# Per JSON type of a valid leaf, values of other JSON types its field must refuse.
+WRONG_TYPES = {
+    int: [True, "7", 1.5, float("nan"), float("inf")],
+    float: [False, "0.5", float("nan"), float("inf"), float("-inf")],
+    str: [True, 7, 0.5, float("nan")],
+    list: ["789"],
+}
+
+
+def read_edited(tmp_path, reader, path, value):
+    """The error text ``reader`` gives its document with ``value`` at ``path``, or None."""
+    read, error, doc = READERS[reader]
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(edited(doc, path, value)), encoding="utf-8")
+    try:
+        read(file)
+    except error as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_value_of_another_json_type_is_refused_by_its_dotted_key(reader, tmp_path):
+    doc = READERS[reader][2]
+    misses = []
+    for path in key_paths(doc):
+        valid = functools.reduce(operator.getitem, path, doc)
+        for value in WRONG_TYPES.get(type(valid), ()):
+            message = read_edited(tmp_path, reader, path, value)
+            if message is None or f"'{dotted(path)}'" not in message:
+                misses.append(f"{dotted(path)} = {value!r}: {message}")
+    assert not misses, "\n".join(misses)
+
+
+# Values the reader once coerced without complaint, one case each.
+COERCED = [
+    ("RunConfig", ("schedule", "total_iters"), 1500.9),
+    ("RunConfig", ("schedule", "constant_lr_iters"), True),
+    ("RunConfig", ("wavelet", "tau0"), True),
+    ("RunConfig", ("wavelet", "n_scales"), "10"),
+    ("RunConfig", ("schedule", "lr_g"), float("nan")),
+    ("SynthCorpusSpec", ("contour_periods",), "789"),
+]
+
+
+@pytest.mark.parametrize("reader, path, value", COERCED, ids=[dotted(p) for _, p, _ in COERCED])
+def test_once_coerced_values_are_refused(reader, path, value, tmp_path):
+    message = read_edited(tmp_path, reader, path, value)
+    assert message is not None and f"'{dotted(path)}'" in message
+
+
+def test_every_bad_key_is_listed():
+    raw = edited(edited(CONFIG, ("schedule", "total_iters"), 1500.9), ("wavelet", "n_scales"), "10")
+    raw = edited(edited(raw, ("seed",), True), ("split", "target_emotion"), DROP)
+    with pytest.raises(ValidationError) as info:
+        build_run_config(raw, base_dir=FIXTURES, overrides={})
+    for key in ("schedule.total_iters", "wavelet.n_scales", "seed", "split.target_emotion"):
+        assert f"'{key}'" in str(info.value)
+    assert str(info.value).count("\n  - ") == 4
+
+
+def test_constructor_checks_wait_for_well_typed_fields():
+    doc = edited(CONFIG, ("schedule", "decay_iters"), 1)  # totals no longer add up
+    with pytest.raises(ValidationError, match="'schedule': total_iters") as info:
+        build_run_config(doc, base_dir=FIXTURES, overrides={})
+    assert str(info.value).count("\n  - ") == 1
+    doc = edited(doc, ("schedule", "lr_g"), "fast")
+    with pytest.raises(ValidationError) as info:
+        build_run_config(doc, base_dir=FIXTURES, overrides={})
+    assert "'schedule.lr_g'" in str(info.value) and "must equal" not in str(info.value)
+
+
+@pytest.mark.parametrize("spelling", ["spectrum", "spectrum-separate"])
+def test_both_mode_spellings_read_as_the_stored_name(spelling):
+    config = build_run_config(edited(CONFIG, ("mode",), spelling), base_dir=FIXTURES, overrides={})
+    assert config.mode == "spectrum-separate"
+
+
+DEEP = functools.reduce(lambda inner, _: [inner], range(900), 3)  # within the decoder's reach
+
+
+@pytest.mark.parametrize("kernel", [[3, 4], DEEP], ids=["pair", "deep"])
+def test_generator_kernel_sizes_must_be_integers(tmp_path, kernel):
+    message = read_edited(tmp_path, "Metadata", ("gen_config", "kernel_sizes", 0), kernel)
+    assert message is not None and "gen_config" in message
+
+
+@pytest.mark.parametrize("overrides", [{"seed": 3}, {"paper_scale": True}])
+def test_overrides_apply_over_the_default_sections(overrides):
+    config = build_run_config({}, base_dir=FIXTURES, overrides=overrides)
+    defaults = RunConfig()
+    if "seed" in overrides:
+        assert config.seed == config.schedule.seed == 3
+        assert config.schedule.total_iters == defaults.schedule.total_iters
+    else:
+        assert config.schedule.total_iters == 400_000
+        assert config.split == defaults.split

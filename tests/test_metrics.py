@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from prosodia.errors import NumericError, ValidationError
+from prosodia.errors import FormatError, NumericError, ValidationError
 from prosodia.features import UtteranceFeatures
 from prosodia.metrics import (
     EvalReport,
+    EvalRow,
     evaluate_pairs,
     mcd,
     pcc,
@@ -168,6 +171,31 @@ class TestReportCsv:
         assert back.mean_mcd == pytest.approx(report.mean_mcd, abs=1e-9)
         assert back.mean_rmse == pytest.approx(report.mean_rmse, rel=1e-9)
         assert back.mean_pcc == pytest.approx(report.mean_pcc, abs=1e-9)
+
+    def test_mean_row_is_read_and_checked(self, tmp_path):
+        utts = [random_utt(f"u{k}", 25, k) for k in range(3)]
+        other = [random_utt(f"u{k}", 25, k + 100) for k in range(3)]
+        path = tmp_path / "report.csv"
+        write_report_csv(evaluate_pairs(utts, other), path)
+        lines = path.read_text().splitlines()
+        mean = lines[-1].split(",")
+        back = read_report_csv(path)
+        assert (back.mean_mcd, back.mean_rmse, back.mean_pcc) == tuple(map(float, mean[1:]))
+        mean[2] = format(float(mean[2]) * (1 + 1e-9), ".12g")
+        path.write_text("\n".join([*lines[:-1], ",".join(mean)]) + "\n")
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*MEAN"):
+            read_report_csv(path)
+
+    def test_every_written_mean_row_reads_back(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "report.csv"
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            scale = 10.0 ** rng.uniform(-6, 6, size=3)
+            values = rng.uniform(-1, 1, size=(n, 3)) * scale
+            rows = [EvalRow(f"u{k}", *map(float, v)) for k, v in enumerate(values)]
+            write_report_csv(EvalReport.from_rows(rows), path)
+            read_report_csv(path)
 
     def test_aggregate_equals_mean_of_rows(self, tmp_path):
         utts = [random_utt(f"u{k}", 25, k) for k in range(3)]
